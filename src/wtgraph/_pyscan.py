@@ -88,6 +88,19 @@ def _subset_layouts(n: int):
     return layouts
 
 
+_LAYOUTS: dict[int, list] = {}
+
+
+def _layouts_for(n: int):
+    """``_subset_layouts(n)``, kept per order up to ``SCAN_MAX + 1``."""
+    if n > SCAN_MAX + 1:
+        return _subset_layouts(n)
+    hit = _LAYOUTS.get(n)
+    if hit is None:
+        hit = _LAYOUTS[n] = _subset_layouts(n)
+    return hit
+
+
 def _degree_route(degs: tuple[int, ...]) -> bool:
     """Slack of every prefix inequality stays within one unit.
 
@@ -217,7 +230,7 @@ def routes(n: int, mask: int) -> tuple[bool, bool, bool]:
     key = tuple(sorted(degs, reverse=True))
     return (
         _degree_route(key),
-        _obstruction_route(n, mask, _subset_layouts(n)),
+        _obstruction_route(n, mask, _layouts_for(n)),
         _reduction_route(n, mask),
     )
 

@@ -28,7 +28,12 @@ from pathlib import Path
 
 from . import graphcore as gc
 from . import majorize, seqcore
-from .errors import InvalidOperation, NotWeaklyThreshold, SizeLimit
+from .errors import (
+    InvalidOperation,
+    InvariantViolation,
+    NotWeaklyThreshold,
+    SizeLimit,
+)
 
 OP_DOMINATING = "D"
 OP_ISOLATED = "I"
@@ -221,9 +226,10 @@ def peel(g: gc.SimpleGraph) -> PeelStep:
         z1, z2 = zs
         u1 = g.neighbors(z1)[0]
         u2 = us[0] if us[1] == u1 else us[1]
-        assert u1 in us and g.has_edge(z2, u2) and g.has_edge(u1, u2)
+        if not (u1 in us and g.has_edge(z2, u2) and g.has_edge(u1, u2)):
+            raise InvariantViolation("case e degrees without a semi-joined 4-path")
         return PeelStep("e", (z1, u1, u2, z2))
-    raise AssertionError("no construction case applies")
+    raise InvariantViolation("no construction case applies")
 
 
 # === recognition =======================================================
@@ -276,11 +282,20 @@ def _build_wt(g: gc.SimpleGraph):
 
 
 def recognize(g: gc.SimpleGraph):
-    """BuildScript for a WT graph, else the forbidden witness."""
+    """BuildScript for a WT graph, else the forbidden witness.
+
+    The slack test on the degree sequence decides membership in
+    polynomial time, and a member is peeled into its script.  Only a
+    non-member pays for the witness search, which must then succeed.
+    """
+    if _is_wt_graph(g):
+        return _build_wt(g)[0]
     witness = gc.find_forbidden(g)
-    if witness is not None:
-        return witness
-    return _build_wt(g)[0]
+    if witness is None:
+        raise InvariantViolation(
+            "slack test rejects a graph with no forbidden induced subgraph"
+        )
+    return witness
 
 
 # === sequence realization ==============================================

@@ -136,6 +136,8 @@ def _cmd_graph(args) -> int:
     rep = _Reporter(f"graph {args.action}", args.graph, args.json)
     try:
         g = _parse_graph(args)
+    except SizeLimit as e:
+        return rep.fail(str(e), EXIT_SIZE)
     except (ValueError, EmptySequence) as e:
         return rep.fail(str(e), EXIT_PARSE)
     try:

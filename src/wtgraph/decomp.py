@@ -10,15 +10,30 @@ along unchanged.
 
 Every graph factors uniquely into indecomposable components under this
 operation: a list of splitted heads (leftmost outermost) ending in a
-plain tail.  Decomposition here extracts the minimal valid head
-greedily and recurses; a head candidate S is valid when the vertices of
-S adjacent to everything outside S form a clique B, the rest of S is
-independent and anticomplete to the outside, and S is proper and
-nonempty.  No valid head means the graph is the tail.
+plain tail.  Decomposition extracts the minimal head greedily and
+recurses.  A vertex set S is a valid head when it is proper and
+nonempty, its B vertices are adjacent to everything outside S and form
+a clique, and its A vertices are independent and anticomplete to the
+outside.  The minimal head is the smallest one, then the one with the
+largest clique side, then the lexicographically first vertex set.
+
+The head is read off the degree order (Tyshkevich, Discrete Math. 220
+(2000)).  In a valid head with p clique and q independent vertices,
+every B vertex has degree at least that of every vertex outside B, and
+every A vertex at most that of every vertex outside A; a B vertex never
+ties with an A vertex.  A B vertex tying with a vertex outside S is its
+true twin, and an A vertex tying with one is its false twin.  So the p
+highest-degree vertices as B and the q lowest-degree vertices as A,
+ties broken by lowest index, form a valid head whenever any (p, q) head
+exists, and the lexicographically first one.  Trying each size s = p + q
+upward and p from s downward tests O(n^2) candidates per head, each by
+a degree bound and then by bitmask.  No valid head means the graph is
+the tail.
 
 The degree-sequence analogue slices the top p and bottom q terms of the
 sorted sequence, un-shifts them, and checks that the head is realizable
-as a splitted graph and the middle is graphic.
+as a splitted graph and the middle is graphic.  The graph route above
+never consults it, so the two stay independent.
 
 Indecomposability has an independent second route: vertices are merged
 whenever a 4-set induces one of 2K2, C4, P4, and a graph on 2 or more
@@ -30,7 +45,7 @@ from itertools import combinations
 
 from . import graphcore as gc
 from . import seqcore
-from .errors import NotGraphic, SizeLimit
+from .errors import InvariantViolation, NotGraphic
 
 
 # === splitted graphs and sequences =====================================
@@ -119,7 +134,10 @@ def realize_splitted(clique_terms, independent_terms) -> gc.SimpleGraph | None:
 
 def splitted_graph_from_terms(s: SplittedSequence) -> SplittedGraph:
     g = realize_splitted(s.clique_terms, s.independent_terms)
-    assert g is not None
+    if g is None:
+        raise InvariantViolation(
+            f"declared realizable, not realized: {format_splitted(s)}"
+        )
     p = len(s.clique_terms)
     return SplittedGraph(
         g, frozenset(range(p, g.n)), frozenset(range(p))
@@ -203,62 +221,60 @@ class SequenceDecomposition:
     tail: seqcore.DegreeSequence
 
 
-def _head_partition(g: gc.SimpleGraph, subset) -> tuple[list[int], list[int]] | None:
-    """Forced (A, B) split of a head candidate, or None if invalid."""
-    rest = [v for v in range(g.n) if v not in subset]
-    a, b = [], []
-    for v in subset:
-        row = g.adj[v]
-        hits = sum(1 for w in rest if row >> w & 1)
-        if hits == len(rest):
-            b.append(v)
-        elif hits == 0:
-            a.append(v)
-        else:
-            return None
-    for u, v in combinations(a, 2):
-        if g.has_edge(u, v):
-            return None
-    for u, v in combinations(b, 2):
-        if not g.has_edge(u, v):
-            return None
-    return a, b
-
-
-def _minimal_head(g: gc.SimpleGraph):
-    """Smallest valid head; among equals, largest clique side, then
-    lexicographically first vertex set."""
-    for size in range(1, g.n):
-        found = []
-        for subset in combinations(range(g.n), size):
-            part = _head_partition(g, subset)
-            if part is not None:
-                a, b = part
-                found.append((-len(b), subset, a, b))
-        if found:
-            found.sort()
-            _, subset, a, b = found[0]
-            return subset, a, b
+def _degree_head(g: gc.SimpleGraph):
+    """Minimal valid head as (vertex set, A side, B side), each sorted,
+    or None when g is its own tail."""
+    n = g.n
+    adj = g.adj
+    degs = g.degrees()
+    high = sorted(range(n), key=lambda v: (-degs[v], v))
+    low = sorted(range(n), key=lambda v: (degs[v], v))
+    top = [0]  # top[p]: mask of high[:p]
+    for v in high:
+        top.append(top[-1] | 1 << v)
+    bottom = [0]  # bottom[q]: mask of low[:q]
+    for v in low:
+        bottom.append(bottom[-1] | 1 << v)
+    full = (1 << n) - 1
+    for size in range(1, n):
+        for p in range(size, -1, -1):
+            q = size - p
+            # a B vertex sees the rest and the other B vertices, an A
+            # vertex at most the B side
+            if p and degs[high[p - 1]] < n - size + p - 1:
+                continue
+            if q and degs[low[q - 1]] > p:
+                continue
+            b, a = top[p], bottom[q]
+            if a & b:
+                continue
+            rest = full & ~(a | b)
+            if all(
+                adj[v] & rest == rest and (adj[v] | 1 << v) & b == b
+                for v in high[:p]
+            ) and not any(adj[v] & (rest | a) for v in low[:q]):
+                return (
+                    tuple(sorted(high[:p] + low[:q])),
+                    sorted(low[:q]),
+                    sorted(high[:p]),
+                )
     return None
 
 
 def decompose_graph(g: gc.SimpleGraph) -> GraphDecomposition:
     """Greedy leftmost extraction of minimal heads; unique by the
     decomposition theorem."""
-    if g.n > gc.CANONICAL_MAX:
-        raise SizeLimit(f"decomposition bounded at n={gc.CANONICAL_MAX}")
     heads = []
     work = g
     while True:
-        hit = _minimal_head(work)
+        hit = _degree_head(work)
         if hit is None:
             return GraphDecomposition(tuple(heads), work)
         subset, a, b = hit
-        order = sorted(subset)
-        pos = {v: i for i, v in enumerate(order)}
+        pos = {v: i for i, v in enumerate(subset)}
         heads.append(
             SplittedGraph(
-                work.induced(order),
+                work.induced(subset),
                 frozenset(pos[v] for v in a),
                 frozenset(pos[v] for v in b),
             )

@@ -43,3 +43,8 @@ class NotExpandable(ValueError):
 
 class OutOfDomain(ValueError):
     """Counting formula queried below its starting order."""
+
+
+class InvariantViolation(RuntimeError):
+    """Two routes to one answer disagree, or a theorem the package rests
+    on fails on an input; either way the package has a bug."""

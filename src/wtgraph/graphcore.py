@@ -366,35 +366,66 @@ def split_partition(g: SimpleGraph) -> SplitPartition | None:
 # --- induced subgraph search -------------------------------------------
 
 
-def _induced_matches(g: SimpleGraph, subset, f: SimpleGraph) -> bool:
-    """Does some bijection subset -> V(f) preserve adjacency?"""
-    k = f.n
-    sub_deg = sorted(g.induced(subset).degrees())
-    if sub_deg != sorted(f.degrees()):
-        return False
-    for perm in permutations(range(k)):
-        ok = True
-        for a in range(k):
-            for b in range(a + 1, k):
-                if g.has_edge(subset[a], subset[b]) != f.has_edge(perm[a], perm[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+@lru_cache(maxsize=32)
+def _prefix_codes(f: SimpleGraph) -> tuple[frozenset[int], ...]:
+    """Entry j: the edge codes the first j vertices of some labeling of
+    f induce.  In a labeling the pair u < v is bit v*(v-1)/2 + u, so the
+    first j vertices own the low j*(j-1)/2 bits, and entry f.n holds the
+    full code of every labeling."""
+    full = set()
+    for perm in permutations(range(f.n)):
+        code = 0
+        for u, v in f.edges():
+            a, b = sorted((perm[u], perm[v]))
+            code |= 1 << (b * (b - 1) // 2 + a)
+        full.add(code)
+    return tuple(
+        frozenset(c & ((1 << j * (j - 1) // 2) - 1) for c in full)
+        for j in range(f.n + 1)
+    )
 
 
 def contains_induced(g: SimpleGraph, f: SimpleGraph) -> tuple[int, ...] | None:
     """Lexicographically smallest vertex set inducing a copy of f, or
-    None.  Subsets are scanned smallest-first so witnesses are stable."""
-    if f.n > g.n:
+    None.
+
+    The edge codes of all labelings of f, up to k! of them for k = f.n,
+    are tabulated once per pattern, together with their restrictions
+    to the first j vertices.  Vertex sets are grown one increasing
+    vertex at a time, so they are met in lexicographic order and
+    witnesses are stable.  Each new vertex adds its adjacency to the
+    chosen ones, read off the bitmasks, to the code, and a prefix whose
+    code no labeling of f starts with is dropped with all its
+    extensions.
+    """
+    k = f.n
+    if k > g.n:
         raise ValueError("pattern larger than host")
-    for subset in combinations(range(g.n), f.n):
-        if _induced_matches(g, subset, f):
-            return subset
-    return None
+    tables = _prefix_codes(f)
+    adj = g.adj
+    chosen: list[int] = []
+
+    def extend(code: int, start: int) -> tuple[int, ...] | None:
+        j = len(chosen)
+        if j == k:
+            return tuple(chosen)
+        table = tables[j + 1]
+        shift = j * (j - 1) // 2
+        for v in range(start, g.n - k + j + 1):
+            row = adj[v]
+            grown = code
+            for i, u in enumerate(chosen):
+                if row >> u & 1:
+                    grown |= 1 << (shift + i)
+            if grown in table:
+                chosen.append(v)
+                hit = extend(grown, v + 1)
+                chosen.pop()
+                if hit is not None:
+                    return hit
+        return None
+
+    return extend(0, 0)
 
 
 # --- forbidden family ---------------------------------------------------

@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the package internals:
 graphicality via Havel-Hakimi, containment and canonical forms via
-exhaustive permutation search, modules by subset enumeration.  Slow on
+exhaustive permutation search, modules and decomposition heads by
+subset enumeration.  Slow on
 purpose; bounds are chosen so each oracle call stays well under a
 second.
 
@@ -131,3 +132,83 @@ def maximal_proper_modules(n, edges):
         m for m in mods
         if not any(m < other for other in mods)
     ]
+
+
+def _adjacency_sets(n, edges):
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _head_partition(n, adj, subset):
+    """Forced (A, B) split of a head candidate, or None if invalid."""
+    rest = set(range(n)) - set(subset)
+    a, b = [], []
+    for v in subset:
+        hits = len(adj[v] & rest)
+        if hits == len(rest):
+            b.append(v)
+        elif hits == 0:
+            a.append(v)
+        else:
+            return None
+    if any(v in adj[u] for u, v in combinations(a, 2)):
+        return None
+    if any(v not in adj[u] for u, v in combinations(b, 2)):
+        return None
+    return a, b
+
+
+def minimal_head(n, edges):
+    """Smallest valid decomposition head over every vertex subset;
+    among equals, largest clique side B, then lexicographically first
+    vertex set.  Returns (subset, A, B), each sorted, or None."""
+    adj = _adjacency_sets(n, edges)
+    for size in range(1, n):
+        found = []
+        for subset in combinations(range(n), size):
+            part = _head_partition(n, adj, subset)
+            if part is not None:
+                a, b = part
+                found.append((-len(b), subset, a, b))
+        if found:
+            _, subset, a, b = min(found)
+            return subset, a, b
+    return None
+
+
+def _relabel(edges, keep):
+    pos = {v: i for i, v in enumerate(keep)}
+    return sorted(
+        tuple(sorted((pos[u], pos[v])))
+        for u, v in edges
+        if u in pos and v in pos
+    )
+
+
+def decompose_by_subsets(n, edges):
+    """Greedy decomposition by minimal_head.  Heads are (order, edges,
+    A positions, B positions) on the head's vertices relabelled in
+    increasing order; the tail is (order, edges), relabelled the same
+    way."""
+    edges = sorted(tuple(sorted(e)) for e in edges)
+    heads = []
+    while True:
+        hit = minimal_head(n, edges)
+        if hit is None:
+            return heads, (n, edges)
+        subset, a, b = hit
+        pos = {v: i for i, v in enumerate(subset)}
+        heads.append(
+            (
+                len(subset),
+                _relabel(edges, subset),
+                [pos[v] for v in a],
+                [pos[v] for v in b],
+            )
+        )
+        keep = [v for v in range(n) if v not in pos]
+        edges = _relabel(edges, keep)
+        n = len(keep)

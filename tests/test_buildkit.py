@@ -1,8 +1,18 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from _oracles import all_edge_subsets, all_graphic_sequences, realizations
+from _oracles import (
+    all_edge_subsets,
+    all_graphic_sequences,
+    induced_subgraph_witness,
+    realizations,
+)
+import wtgraph
 from wtgraph import buildkit as bk, decomp, graphcore as gc, seqcore
 from wtgraph.errors import (
     InvalidOperation,
@@ -161,6 +171,50 @@ def test_recognize_all_small_graphs():
             assert got_script == gc.is_wt_by_forbidden(g)
             if got_script:
                 assert gc.are_isomorphic(bk.run_script(out), g)
+
+
+def test_recognize_matches_slack_test_and_witness_oracle():
+    """Script exactly when the slack test says WT; otherwise the witness
+    is the first oracle hit in family order, on every labeled graph
+    through 6 vertices."""
+    family = [(name, f.n, set(f.edges())) for name, f in gc.forbidden_family()]
+    for n in range(1, 7):
+        for edges in all_edge_subsets(n):
+            g = gc.SimpleGraph(n, edges)
+            out = bk.recognize(g)
+            if seqcore.classify(gc.degree_sequence(g)).weakly_threshold:
+                assert isinstance(out, bk.BuildScript), (n, sorted(edges))
+                continue
+            expected = next(
+                (name, hit)
+                for name, k, f_edges in family
+                if k <= n
+                for hit in [induced_subgraph_witness(n, edges, k, f_edges)]
+                if hit is not None
+            )
+            assert (out.family_member, out.vertices) == expected, (n, sorted(edges))
+
+
+def test_recognize_route_check_survives_optimize():
+    """With the witness search disabled, a rejected graph must raise
+    even when python -O strips asserts."""
+    code = (
+        "from wtgraph import buildkit, graphcore\n"
+        "from wtgraph.errors import InvariantViolation\n"
+        "assert not __debug__\n"  # stripped under -O; fails loudly if not
+        "graphcore.find_forbidden = lambda g: None\n"
+        "try:\n"
+        "    buildkit.recognize(graphcore.cycle_graph(4))\n"
+        "except InvariantViolation:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(wtgraph.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "raised"
 
 
 # === realization =======================================================

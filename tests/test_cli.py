@@ -113,7 +113,11 @@ def test_graph_decompose_composed(capsys):
 
 
 def test_graph_decompose_size_bound(capsys):
-    code, _, err = run(capsys, ["graph", "decompose", "n=17;edges="])
+    # decomposition is bounded only by the 64-vertex graph cap
+    code, out, _ = run(capsys, ["graph", "decompose", "n=17;edges="])
+    assert code == 0
+    assert "heads: " + " ".join(["[;0]"] * 16) in out.splitlines()
+    code, _, err = run(capsys, ["graph", "decompose", "n=65;edges="])
     assert code == 5
     assert "error:" in err
 

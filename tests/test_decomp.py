@@ -3,9 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from _oracles import all_edge_subsets, all_graphic_sequences
+from _oracles import (
+    all_edge_subsets,
+    all_graphic_sequences,
+    decompose_by_subsets,
+    minimal_head,
+)
 from wtgraph import decomp, graphcore as gc, seqcore
-from wtgraph.errors import NotGraphic, SizeLimit
+from wtgraph.errors import NotGraphic
 
 
 def paw():
@@ -189,8 +194,89 @@ def test_decompose_graph_values():
 
 
 def test_decompose_graph_size_limit():
-    with pytest.raises(SizeLimit):
-        decomp.decompose_graph(gc.empty_graph(17))
+    # polynomial now, so bounded only by the 64-vertex graph cap
+    d = decomp.decompose_graph(gc.empty_graph(17))
+    assert [decomp.format_splitted(h.splitted_sequence()) for h in d.heads] == [
+        ";0"
+    ] * 16
+    assert d.tail == gc.SimpleGraph(1, [])
+
+
+def _random_head(rng, max_side):
+    while True:
+        p, q = rng.randrange(0, max_side + 1), rng.randrange(0, max_side + 1)
+        if p + q:
+            break
+    clique = list(combinations(range(p), 2))
+    cross = [(i, p + j) for i in range(p) for j in range(q) if rng.random() < 0.5]
+    return decomp.SplittedGraph(
+        gc.SimpleGraph(p + q, clique + cross),
+        frozenset(range(p, p + q)),
+        frozenset(range(p)),
+    )
+
+
+def _composed(rng, order, max_side, max_tail):
+    """Random splitted heads over a random tail, about order vertices
+    in all, with the vertices shuffled."""
+    heads = []
+    total = 0
+    while True:
+        h = _random_head(rng, max_side)
+        if total + h.graph.n > order - 1:
+            break
+        heads.append(h)
+        total += h.graph.n
+    m = rng.randrange(1, min(max_tail, order - total) + 1)
+    g = gc.SimpleGraph(m, [e for e in combinations(range(m), 2) if rng.random() < 0.5])
+    for h in reversed(heads):
+        g = decomp.compose_graph(h, g)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return gc.SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _as_oracle_output(d):
+    heads = [
+        (h.graph.n, h.graph.edges(), sorted(h.independent), sorted(h.clique))
+        for h in d.heads
+    ]
+    return heads, (d.tail.n, d.tail.edges())
+
+
+def test_decompose_graph_matches_subset_oracle():
+    """Head for head and vertex for vertex, the degree-ordered search
+    agrees with the search over every vertex subset."""
+    for n in range(1, 7):
+        for edges in all_edge_subsets(n):
+            g = gc.SimpleGraph(n, edges)
+            hit = decomp._degree_head(g)
+            assert hit == minimal_head(n, edges), (n, sorted(edges))
+            assert _as_oracle_output(decomp.decompose_graph(g)) == (
+                decompose_by_subsets(n, edges)
+            ), (n, sorted(edges))
+
+
+def test_decompose_graph_matches_subset_oracle_on_compositions():
+    # composed and relabelled graphs tie degrees across head boundaries
+    rng = random.Random(2024)
+    for _ in range(150):
+        g = _composed(rng, rng.randrange(7, 17), max_side=3, max_tail=5)
+        d = decomp.decompose_graph(g)
+        assert _as_oracle_output(d) == decompose_by_subsets(g.n, g.edges()), g
+        assert decomp.recompose_graph(d).n == g.n
+
+
+def test_decompose_large_composed_graph_matches_sequence_route():
+    rng = random.Random(40)
+    g = _composed(rng, 40, max_side=4, max_tail=6)
+    assert g.n > gc.CANONICAL_MAX
+    dg = decomp.decompose_graph(g)
+    sd = decomp.decompose_sequence(seqcore.normalize(g.degrees()))
+    assert len(dg.heads) > 3
+    assert [h.splitted_sequence() for h in dg.heads] == list(sd.heads)
+    assert seqcore.normalize(dg.tail.degrees()) == sd.tail
+    assert gc.degree_sequence(decomp.recompose_graph(dg)) == gc.degree_sequence(g)
 
 
 def test_figure_graph_head_is_splitted_path():
