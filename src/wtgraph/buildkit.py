@@ -344,6 +344,15 @@ def _catalog_dir() -> Path | None:
 
 
 def _load_level(k: int) -> set[bytes] | None:
+    """The stored level k, or None when it is missing or fails a check.
+
+    Each code must be the canonical form of a WT graph on k vertices,
+    and there must be as many distinct codes as the counting formula
+    gives, so a level that loads is exactly the level the closure
+    would rebuild.
+    """
+    from . import census  # census imports this module
+
     root = _catalog_dir()
     if root is None:
         return None
@@ -354,15 +363,23 @@ def _load_level(k: int) -> set[bytes] | None:
     try:
         for line in path.read_text().splitlines():
             order, hexcode, _seq = line.split(" ")
-            if int(order) != k:
+            code = bytes.fromhex(hexcode)
+            if int(order) != k or code[:1] != bytes([k]):
                 return None
-            forms.add(bytes.fromhex(hexcode))
+            g = gc.graph_from_canonical_form(code)
+            if gc.canonical_form(g) != code or not _is_wt_graph(g):
+                return None
+            forms.add(code)
     except ValueError:
+        return None
+    if len(forms) != census.count_wt_graphs(k):
         return None
     return forms
 
 
 def _store_level(k: int, forms: set[bytes]) -> None:
+    """Write level k through a temporary file, so a reader never sees
+    a partly written level."""
     root = _catalog_dir()
     if root is None:
         return
@@ -372,7 +389,10 @@ def _store_level(k: int, forms: set[bytes]) -> None:
         g = gc.graph_from_canonical_form(code)
         seq = seqcore.format_sequence(seqcore.normalize(g.degrees()))
         lines.append(f"{k} {code.hex()} {seq}")
-    (root / f"level_{k}.txt").write_text("".join(line + "\n" for line in lines))
+    path = root / f"level_{k}.txt"
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text("".join(line + "\n" for line in lines))
+    os.replace(tmp, path)
 
 
 def _expansions(g: gc.SimpleGraph):

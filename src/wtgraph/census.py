@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import buildkit, decomp, graphcore, seqcore
-from .errors import NotExpandable, OutOfDomain, SizeLimit
+from .errors import InvariantViolation, NotExpandable, OutOfDomain, SizeLimit
 
 TABLE_NAMES = ("g", "h", "s", "w", "threshold")
 
@@ -130,6 +130,12 @@ def count_indecomposable_graphs(n: int) -> int:
     return c
 
 
+def _expect_equal(found: int, want: int) -> None:
+    """Two routes to one count; a mismatch is a bug, under any flags."""
+    if found != want:
+        raise InvariantViolation((found, want))
+
+
 def count_wt_sequences(n: int) -> int:
     """Exact sequence count, recurrence route checked against the Pell route."""
     if n < 1:
@@ -140,7 +146,7 @@ def count_wt_sequences(n: int) -> int:
     t1, t2 = 2, 6
     for _ in range(n - 1):
         t1, t2 = t2, 2 * t2 + t1
-    assert 4 * s[n - 1] - 2 == t1
+    _expect_equal(4 * s[n - 1] - 2, t1)
     return s[n - 1]
 
 
@@ -232,27 +238,27 @@ def oracle_crosscheck(n: int) -> CrosscheckReport:
 
     seqs = buildkit.enumerate_wt_sequences(n)
     s_n = count_wt_sequences(n)
-    assert len(seqs) == s_n, (len(seqs), s_n)
+    _expect_equal(len(seqs), s_n)
 
     g_n = None
     if n >= 4:
         g_n = count_indecomposable_sequences(n)
         single = sum(1 for d in seqs if not decomp.decompose_sequence(d).heads)
-        assert single == g_n, (single, g_n)
+        _expect_equal(single, g_n)
 
     if n > CROSSCHECK_GRAPH_MAX:
         return CrosscheckReport(n, s_n, None, g_n, None, None)
 
     codes = buildkit.enumerate_wt_graphs(n)
     w_n = count_wt_graphs(n)
-    assert len(codes) == w_n, (len(codes), w_n)
+    _expect_equal(len(codes), w_n)
     graphs = [graphcore.graph_from_canonical_form(c) for c in codes]
 
     h_n = None
     if n >= 4:
         h_n = count_indecomposable_graphs(n)
         single = sum(1 for g in graphs if decomp.is_indecomposable_graph(g))
-        assert single == h_n, (single, h_n)
+        _expect_equal(single, h_n)
 
     t_n = count_threshold_graphs(n)
     zero_slack = sum(
@@ -263,7 +269,7 @@ def oracle_crosscheck(n: int) -> CrosscheckReport:
             for x in seqcore.eg_profile(seqcore.normalize(g.degrees())).deltas
         )
     )
-    assert zero_slack == t_n, (zero_slack, t_n)
+    _expect_equal(zero_slack, t_n)
 
     return CrosscheckReport(n, s_n, w_n, g_n, h_n, t_n)
 

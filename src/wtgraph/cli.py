@@ -19,7 +19,7 @@ import random
 import sys
 
 from . import buildkit, census, decomp, exhaustive, graphcore, majorize, seqcore
-from .errors import EmptySequence, RowOverflow, SizeLimit
+from .errors import EmptySequence, InvariantViolation, RowOverflow, SizeLimit
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -249,15 +249,18 @@ def _cmd_enumerate(args) -> int:
 
 
 def _oracle_checks(n: int, notes: list[str]) -> None:
-    """One order's battery; raises AssertionError on the first failure."""
+    """One order's battery; raises InvariantViolation on the first
+    failure."""
     r = exhaustive.scan_all(n)
-    assert r.disagreements == 0, (
-        f"n={n}: {r.disagreements} route disagreements,"
-        f" first at mask {r.first_disagreement}"
-    )
-    assert r.complement_mismatches == 0, (
-        f"n={n}: {r.complement_mismatches} complement mismatches"
-    )
+    if r.disagreements:
+        raise InvariantViolation(
+            f"n={n}: {r.disagreements} route disagreements,"
+            f" first at mask {r.first_disagreement}"
+        )
+    if r.complement_mismatches:
+        raise InvariantViolation(
+            f"n={n}: {r.complement_mismatches} complement mismatches"
+        )
     notes.append(f"n={n} scan ok (total={r.total} wt={r.wt_count})")
 
     if n <= 5:
@@ -280,26 +283,27 @@ def _oracle_checks(n: int, notes: list[str]) -> None:
     for g in graphs:
         dec = decomp.decompose_graph(g)
         back = decomp.recompose_graph(dec)
-        assert graphcore.are_isomorphic(g, back), (
-            f"n={n}: decomposition round trip broke on {g.edges()}"
-        )
+        if not graphcore.are_isomorphic(g, back):
+            raise InvariantViolation(
+                f"n={n}: decomposition round trip broke on {g.edges()}"
+            )
     notes.append(f"n={n} decomposition ok ({len(graphs)} graphs)")
 
     checked = 0
     for total in range(0, n * (n - 1) + 1, 2):
         for d in majorize.graphic_sequences(n, total):
-            assert decomp.check_eg_concatenation(d).matches, (
-                f"n={n}: concatenation mismatch on {d}"
-            )
+            if not decomp.check_eg_concatenation(d).matches:
+                raise InvariantViolation(f"n={n}: concatenation mismatch on {d}")
             checked += 1
     notes.append(f"n={n} concatenation ok ({checked} sequences)")
 
     for total in range(0, n * (n - 1) + 1, 2):
         up = majorize.verify_upward_closure(n, total)
-        assert not up.counterexamples, (
-            f"n={n}: upward closure broke at total {total}:"
-            f" {up.counterexamples[0]}"
-        )
+        if up.counterexamples:
+            raise InvariantViolation(
+                f"n={n}: upward closure broke at total {total}:"
+                f" {up.counterexamples[0]}"
+            )
     notes.append(f"n={n} upward closure ok")
 
     census.oracle_crosscheck(n)
@@ -333,7 +337,7 @@ def _cmd_oracle(args) -> int:
     try:
         for n in range(1, args.max_n + 1):
             _oracle_checks(n, notes)
-    except AssertionError as e:
+    except InvariantViolation as e:
         notes.append(f"FAIL {e}")
         code = rep.emit({"passed": False, "checks": notes}, notes, 1)
         return code

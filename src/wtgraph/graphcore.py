@@ -15,7 +15,8 @@ adjacency bits to vertices placed 0..t-1, in that order.
 
 The seven-graph forbidden family for the weakly threshold class is
 built here explicitly, and is_wt_by_forbidden searches for an induced
-member, returning a witness when one exists.
+member, returning a witness when one exists.  The exhaustive scan
+screens against the same members' labeling codes.
 """
 
 from dataclasses import dataclass
@@ -187,11 +188,27 @@ def _minimal_ordering(g: SimpleGraph, keys) -> tuple[list[int], tuple[int, ...]]
     order) and only orderings filling each class's slots from its own
     vertices compete.  Any key-preserving isomorphism respects the
     classes, so the minimum is an isomorphism invariant.
+
+    Twins (equal keys, equal adjacency outside the pair) are placed in
+    index order: swapping two is an automorphism, so the minimal code
+    and the first ordering attaining it are unchanged, and a clique or
+    independent class costs one ordering instead of all of them.
     """
     n = g.n
     if n > CANONICAL_MAX:
         raise SizeLimit(f"canonical form bounded at n={CANONICAL_MAX}")
     slot_key = sorted(keys, reverse=True)
+    adj = g.adj
+    # lower-index twins of each vertex, which must be placed before it
+    twins_below = [
+        sum(
+            1 << u
+            for u in range(v)
+            if keys[u] == keys[v]
+            and adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
+        )
+        for v in range(n)
+    ]
 
     best_bits: list[int] | None = None
     best_perm: tuple[int, ...] = ()
@@ -206,9 +223,9 @@ def _minimal_ordering(g: SimpleGraph, keys) -> tuple[list[int], tuple[int, ...]]
             return
         want = slot_key[pos]
         for v in range(n):
-            if used >> v & 1 or keys[v] != want:
+            if used >> v & 1 or keys[v] != want or twins_below[v] & ~used:
                 continue
-            fresh = [g.adj[v] >> u & 1 for u in perm]
+            fresh = [adj[v] >> u & 1 for u in perm]
             cand = bits + fresh
             if best_bits is not None and cand > best_bits[: len(cand)]:
                 continue
@@ -367,18 +384,30 @@ def split_partition(g: SimpleGraph) -> SplitPartition | None:
 
 
 @lru_cache(maxsize=32)
+def labeling_codes(f: SimpleGraph) -> frozenset[int]:
+    """Edge codes of every labeling of f.  In a labeling the pair u < v
+    is bit v*(v-1)/2 + u, the layout ``exhaustive`` uses for its masks."""
+    n = f.n
+    weight = [
+        [1 << (max(a, b) * (max(a, b) - 1) // 2 + min(a, b)) for b in range(n)]
+        for a in range(n)
+    ]
+    edges = f.edges()
+    codes = set()
+    for perm in permutations(range(n)):
+        code = 0
+        for u, v in edges:
+            code |= weight[perm[u]][perm[v]]
+        codes.add(code)
+    return frozenset(codes)
+
+
+@lru_cache(maxsize=32)
 def _prefix_codes(f: SimpleGraph) -> tuple[frozenset[int], ...]:
     """Entry j: the edge codes the first j vertices of some labeling of
-    f induce.  In a labeling the pair u < v is bit v*(v-1)/2 + u, so the
-    first j vertices own the low j*(j-1)/2 bits, and entry f.n holds the
-    full code of every labeling."""
-    full = set()
-    for perm in permutations(range(f.n)):
-        code = 0
-        for u, v in f.edges():
-            a, b = sorted((perm[u], perm[v]))
-            code |= 1 << (b * (b - 1) // 2 + a)
-        full.add(code)
+    f induce.  They own the low j*(j-1)/2 bits of a labeling's code, so
+    entry f.n is ``labeling_codes(f)``."""
+    full = labeling_codes(f)
     return tuple(
         frozenset(c & ((1 << j * (j - 1) // 2) - 1) for c in full)
         for j in range(f.n + 1)

@@ -120,7 +120,7 @@ def test_criterion_4_three_way_equivalence():
     assert elapsed <= 600.0, f"n=7 scan took {elapsed:.0f}s"
     print(
         "criterion 4: PASS (zero disagreements through n=7, "
-        f"{r.backend} backend, n=7 in {elapsed:.1f}s)"
+        f"n=7 in {elapsed:.1f}s)"
     )
 
 

@@ -326,6 +326,16 @@ def test_catalog_persists_between_runs(tmp_path, monkeypatch):
     # a corrupt level is recomputed, not trusted
     (tmp_path / "level_3.txt").write_text("garbage\n")
     assert bk.enumerate_wt_graphs(5) == first
+    # so is a level missing a line, or with one swapped for a non-member
+    level_4 = tmp_path / "level_4.txt"
+    good = level_4.read_text().splitlines()
+    c4 = gc.canonical_form(gc.cycle_graph(4))
+    for lines in (good[1:], good[1:] + [f"4 {c4.hex()} 2,2,2,2"]):
+        level_4.write_text("".join(line + "\n" for line in lines))
+        assert len(bk.enumerate_wt_graphs(4)) == 9
+        assert bk.enumerate_wt_graphs(5) == first
+        assert level_4.read_text().splitlines() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == stored
 
 
 def test_type1_only_closure_counts():

@@ -1,9 +1,13 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wtgraph
 from wtgraph import decomp, graphcore as gc
 from wtgraph.cli import main
 
@@ -198,6 +202,28 @@ def test_oracle_json(capsys):
     report = json.loads(out)
     assert report["result"]["passed"] is True
     assert sorted(report) == ["command", "input", "result", "status"]
+
+
+def test_oracle_count_check_survives_optimize():
+    """A wrong graph count must fail the oracle even when python -O
+    strips asserts."""
+    code = (
+        "import sys\n"
+        "from wtgraph import census, cli\n"
+        "assert not __debug__\n"  # stripped under -O; fails loudly if not
+        "true_count = census.count_wt_graphs\n"
+        "census.count_wt_graphs = lambda n: 22 if n == 5 else true_count(n)\n"
+        "sys.exit(cli.main(['oracle', '--max-n', '5', '--json']))\n"
+    )
+    src = str(Path(wtgraph.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert r.returncode == 1, r.stderr
+    report = json.loads(r.stdout)
+    assert report["result"]["passed"] is False
+    assert report["result"]["checks"][-1] == "FAIL (21, 22)"
 
 
 def test_ferrers(capsys):

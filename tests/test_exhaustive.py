@@ -1,35 +1,26 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from _oracles import all_edge_subsets
+from _oracles import all_edge_subsets, induced_subgraph_witness
+import wtgraph
 from wtgraph import buildkit as bk, exhaustive as ex, graphcore as gc
 from wtgraph.errors import SizeLimit
-
-HAVE_COMPILED = ex.BACKEND == "compiled"
-
-
-def result_tuple(r):
-    return (
-        r.total,
-        r.wt_count,
-        r.disagreements,
-        r.complement_mismatches,
-        r.sequences,
-        r.first_disagreement,
-    )
 
 
 def test_pure_scan_small_orders():
     labeled = {1: 1, 2: 2, 3: 8, 4: 58, 5: 632}
     for n, want in labeled.items():
-        r = ex.scan_all(n, backend="pure")
+        r = ex.scan_all(n)
         assert r.total == 1 << (n * (n - 1) // 2)
         assert r.wt_count == want
         assert r.consistent
         assert r.first_disagreement is None
         assert r.sequences == bk.enumerate_wt_sequences(n)
-        assert r.backend == "pure"
 
 
 def test_wt_count_matches_direct_filter():
@@ -39,25 +30,7 @@ def test_wt_count_matches_direct_filter():
             for edges in all_edge_subsets(n)
             if gc.is_wt_by_degrees(gc.SimpleGraph(n, edges))
         )
-        assert ex.scan_all(n, backend="pure").wt_count == direct
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_backends_agree():
-    for n in range(1, 6):
-        a = ex.scan_all(n, backend="pure")
-        b = ex.scan_all(n, backend="compiled")
-        assert result_tuple(a)[:-1] == result_tuple(b)[:-1]
-        assert b.backend == "compiled"
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_compiled_order_six():
-    r = ex.scan_all(6, backend="compiled")
-    assert r.total == 32768
-    assert r.wt_count == 9234
-    assert r.consistent
-    assert r.sequences == bk.enumerate_wt_sequences(6)
+        assert ex.scan_all(n).wt_count == direct
 
 
 def test_routes_spot_values():
@@ -74,14 +47,21 @@ def test_routes_spot_values():
 
 
 def test_routes_match_module_recognizers():
-    """Each kernel route answers like the corresponding module-level
-    recognizer on every labeled graph of small orders."""
+    """Each kernel route answers like an independent recognizer on every
+    labeled graph of small orders.  The obstruction route shares its
+    tables with graphcore, so its reference is the brute-force witness
+    search over the seven family members."""
+    family = [(f.n, set(f.edges())) for _, f in gc.forbidden_family()]
     for n in (4, 5):
         for edges in all_edge_subsets(n):
             g = gc.SimpleGraph(n, edges)
-            r1, r2, r3 = ex.routes(n, ex.edge_mask(n, edges), backend="pure")
+            r1, r2, r3 = ex.routes(n, ex.edge_mask(n, edges))
             assert r1 == gc.is_wt_by_degrees(g)
-            assert r2 == gc.is_wt_by_forbidden(g)
+            assert r2 == all(
+                induced_subgraph_witness(n, edges, k, f_edges) is None
+                for k, f_edges in family
+                if k <= n
+            )
             assert r3 == isinstance(bk.recognize(g), bk.BuildScript)
 
 
@@ -109,8 +89,6 @@ def test_scan_bounds():
         ex.routes(4, 1 << 6)
     with pytest.raises(ValueError):
         ex.routes(0, 0)
-    with pytest.raises(ValueError):
-        ex.scan_all(4, backend="gpu")
 
 
 def test_edge_mask_validation():
@@ -119,3 +97,20 @@ def test_edge_mask_validation():
         ex.edge_mask(3, [(0, 3)])
     with pytest.raises(ValueError):
         ex.edge_mask(3, [(1, 1)])
+
+
+def test_import_builds_no_tables():
+    """The screen's tables and subset layouts are built on first use,
+    not when the command line front end is imported."""
+    code = (
+        "import wtgraph.cli\n"
+        "from wtgraph import exhaustive, graphcore\n"
+        "print(exhaustive._obstruction_tables.cache_info().currsize,"
+        " exhaustive._subset_layouts.cache_info().currsize,"
+        " graphcore.labeling_codes.cache_info().currsize)\n"
+    )
+    src = str(Path(wtgraph.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["0", "0", "0"]

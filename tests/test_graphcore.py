@@ -1,6 +1,7 @@
 """Graph layer: named-example values, format codecs, and oracle checks."""
 
 import random
+import time
 
 import pytest
 
@@ -98,6 +99,23 @@ def test_canonical_form_agrees_with_permutation_oracle():
 def test_canonical_size_limit():
     with pytest.raises(SizeLimit):
         gc.canonical_form(gc.empty_graph(17))
+
+
+def test_canonical_size_bound_is_honest_in_time():
+    """Sixteen vertices of twins (complete, empty, threshold) each take
+    well under a second, and the ordering attains the code."""
+    rng = random.Random(16)
+    threshold = gc.SimpleGraph(1)
+    for _ in range(15):
+        nbrs = range(threshold.n) if rng.random() < 0.5 else ()
+        threshold = threshold.add_vertex(nbrs)
+    order = list(range(16))
+    rng.shuffle(order)
+    for g in (gc.complete_graph(16), gc.empty_graph(16), threshold.induced(order)):
+        t0 = time.perf_counter()
+        code = gc.canonical_form(g)
+        assert time.perf_counter() - t0 < 1.0
+        assert gc.graph_from_canonical_form(code) == g.induced(gc.canonical_ordering(g))
 
 
 def test_isomorphism_map():
