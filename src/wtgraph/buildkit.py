@@ -184,18 +184,12 @@ def parse_script(text: str) -> BuildScript:
 # === peeling ===========================================================
 
 
-def _is_wt_graph(g: gc.SimpleGraph) -> bool:
-    d = seqcore.normalize(g.degrees())
-    c = seqcore.classify(d)
-    return c.weakly_threshold
-
-
 def peel(g: gc.SimpleGraph) -> PeelStep:
     """One reverse construction step; exactly one case fits a WT graph."""
     n = g.n
     if n < 2:
         raise ValueError("peeling needs at least two vertices")
-    if not _is_wt_graph(g):
+    if not gc.is_wt_by_degrees(g):
         raise NotWeaklyThreshold("input graph is not weakly threshold")
     degs = g.degrees()
     d = seqcore.normalize(degs)
@@ -288,7 +282,7 @@ def recognize(g: gc.SimpleGraph):
     polynomial time, and a member is peeled into its script.  Only a
     non-member pays for the witness search, which must then succeed.
     """
-    if _is_wt_graph(g):
+    if gc.is_wt_by_degrees(g):
         return _build_wt(g)[0]
     witness = gc.find_forbidden(g)
     if witness is None:
@@ -367,7 +361,7 @@ def _load_level(k: int) -> set[bytes] | None:
             if int(order) != k or code[:1] != bytes([k]):
                 return None
             g = gc.graph_from_canonical_form(code)
-            if gc.canonical_form(g) != code or not _is_wt_graph(g):
+            if gc.canonical_form(g) != code or not gc.is_wt_by_degrees(g):
                 return None
             forms.add(code)
     except ValueError:

@@ -17,10 +17,6 @@ class SizeLimit(ValueError):
     """Input exceeds the documented size bound of an exact algorithm."""
 
 
-class NotPrime(ValueError):
-    """Graph or its complement is disconnected where connectivity is required."""
-
-
 class InvalidTransformation(ValueError):
     """Unit transformation not applicable at the given positions."""
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from . import seqcore
-from .errors import NotPrime, SizeLimit
+from .errors import SizeLimit
 
 MAX_VERTICES = 64
 CANONICAL_MAX = 16
@@ -163,18 +163,6 @@ def complement(g: SimpleGraph) -> SimpleGraph:
         others = full & ~g.adj[u] & ~(1 << u)
         es.extend((u, v) for v in _bits(others) if v > u)
     return SimpleGraph(g.n, es)
-
-
-def is_connected(g: SimpleGraph) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        fresh = 0
-        for v in _bits(frontier):
-            fresh |= g.adj[v]
-        frontier = fresh & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
 
 
 # --- canonical forms ---------------------------------------------------
@@ -340,43 +328,28 @@ class SplitPartition:
     clique: frozenset
 
 
-def _check_partition(g: SimpleGraph, cl: set, ind: set) -> bool:
-    for u, v in combinations(sorted(cl), 2):
-        if not g.has_edge(u, v):
-            return False
-    for u, v in combinations(sorted(ind), 2):
-        if g.has_edge(u, v):
-            return False
-    return True
-
-
 def split_partition(g: SimpleGraph) -> SplitPartition | None:
     """Split partition with clique of maximum size, or None.
 
-    Primary route: the m highest-degree vertices form the clique
-    candidate, swapping exhaustively among vertices tied at the
-    boundary degree.  A subset-search fallback covers n <= 10.
+    With m the corrected Durfee number of the degree sequence, a split
+    graph's m highest-degree vertices form a maximum clique and the
+    rest an independent set, however ties are broken (Hammer and
+    Simeone, *The splittance of a graph*, Combinatorica 1 (1981)).  So
+    the top m by (-degree, index) are taken as the clique side and both
+    sides are checked by one mask test per vertex; if either fails, g
+    is not split.
     """
-    d = degree_sequence(g)
-    m = seqcore.corrected_durfee(d)
+    m = seqcore.corrected_durfee(degree_sequence(g))
     degs = g.degrees()
-    boundary = d[m - 1]
-    forced = [v for v in range(g.n) if degs[v] > boundary]
-    tied = [v for v in range(g.n) if degs[v] == boundary]
-    need = m - len(forced)
-    if 0 <= need <= len(tied):
-        for pick in combinations(tied, need):
-            cl = set(forced) | set(pick)
-            ind = set(range(g.n)) - cl
-            if _check_partition(g, cl, ind):
-                return SplitPartition(frozenset(ind), frozenset(cl))
-    if g.n <= 10:
-        for size in range(g.n, -1, -1):
-            for cl_tuple in combinations(range(g.n), size):
-                cl = set(cl_tuple)
-                ind = set(range(g.n)) - cl
-                if _check_partition(g, cl, ind):
-                    return SplitPartition(frozenset(ind), frozenset(cl))
+    adj = g.adj
+    order = sorted(range(g.n), key=lambda v: (-degs[v], v))
+    top, rest = order[:m], order[m:]
+    clique = sum(1 << v for v in top)
+    indep = sum(1 << v for v in rest)
+    if all((adj[v] | 1 << v) & clique == clique for v in top) and not any(
+        adj[v] & indep for v in rest
+    ):
+        return SplitPartition(frozenset(rest), frozenset(top))
     return None
 
 
@@ -511,40 +484,7 @@ def is_wt_by_degrees(g: SimpleGraph) -> bool:
     return seqcore.classify(degree_sequence(g)).weakly_threshold
 
 
-# --- modules, twins, clones --------------------------------------------
-
-
-def _is_module(g: SimpleGraph, member_mask: int) -> bool:
-    for v in range(g.n):
-        if member_mask >> v & 1:
-            continue
-        hit = g.adj[v] & member_mask
-        if hit != 0 and hit != member_mask:
-            return False
-    return True
-
-
-def maximal_proper_modules(g: SimpleGraph) -> list[tuple[int, ...]]:
-    """Maximal modules M with 1 <= |M| < n.
-
-    Requires g and its complement connected; the maximal proper
-    modules are then pairwise disjoint.
-    """
-    if not is_connected(g) or not is_connected(complement(g)):
-        raise NotPrime("graph or complement disconnected")
-    mods = []
-    for size in range(1, g.n):
-        for subset in combinations(range(g.n), size):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            if _is_module(g, mask):
-                mods.append(mask)
-    maximal = [
-        m for m in mods
-        if not any(other != m and m & other == m for other in mods)
-    ]
-    return sorted(tuple(_bits(m)) for m in maximal)
+# --- twins and clones --------------------------------------------------
 
 
 def twins_and_clones(g: SimpleGraph) -> list[tuple[int, ...]]:

@@ -2,10 +2,9 @@
 
 Everything here is deliberately independent of the package internals:
 graphicality via Havel-Hakimi, containment and canonical forms via
-exhaustive permutation search, modules and decomposition heads by
-subset enumeration.  Slow on
-purpose; bounds are chosen so each oracle call stays well under a
-second.
+exhaustive permutation search, split partitions and decomposition
+heads by subset enumeration.  Slow on purpose; bounds are chosen so
+each oracle call stays well under a second.
 
 Graphs are passed around as (n, edges) with edges a collection of
 sorted vertex pairs.
@@ -120,26 +119,27 @@ def is_module(n, edges, mset):
     return True
 
 
-def maximal_proper_modules(n, edges):
-    """All modules M with 1 <= |M| < n that are not contained in a
-    strictly larger proper module."""
-    mods = []
-    for size in range(1, n):
-        for subset in combinations(range(n), size):
-            if is_module(n, edges, set(subset)):
-                mods.append(frozenset(subset))
-    return [
-        m for m in mods
-        if not any(m < other for other in mods)
-    ]
-
-
 def _adjacency_sets(n, edges):
     adj = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
     return adj
+
+
+def split_partition_by_subsets(n, edges):
+    """(independent side, clique side) as frozensets, or None: the
+    first vertex set in combinations order that is a clique with an
+    independent complement, tried from the largest size down."""
+    adj = _adjacency_sets(n, edges)
+    for size in range(n, -1, -1):
+        for clique in combinations(range(n), size):
+            if not all(v in adj[u] for u, v in combinations(clique, 2)):
+                continue
+            rest = [v for v in range(n) if v not in clique]
+            if not any(v in adj[u] for u, v in combinations(rest, 2)):
+                return frozenset(rest), frozenset(clique)
+    return None
 
 
 def _head_partition(n, adj, subset):

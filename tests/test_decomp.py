@@ -1,7 +1,9 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     all_edge_subsets,
@@ -369,6 +371,43 @@ def test_indecomposable_matches_decomposition_route():
             d = decomp.decompose_graph(g)
             trivial = not d.heads and d.tail.n == g.n
             assert decomp.is_indecomposable_graph(g) == trivial, (n, edges)
+
+
+def test_indecomposable_size_is_honest_in_time():
+    rng = random.Random(32)
+    g = gc.SimpleGraph(32, [e for e in combinations(range(32), 2) if rng.random() < 0.5])
+    t0 = time.perf_counter()
+    got = decomp.is_indecomposable_graph(g)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == (not decomp.decompose_graph(g).heads)
+
+
+@st.composite
+def _compositions(draw):
+    """One to four pieces, each on at most 8 vertices: random splitted
+    heads over a random tail, relabelled.  A lone tail is often
+    indecomposable and a composition never is, so both answers occur."""
+    pieces = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 8))
+    g = gc.SimpleGraph(m, [e for e in combinations(range(m), 2) if draw(st.booleans())])
+    for _ in range(pieces - 1):
+        p, q = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any))
+        clique = list(combinations(range(p), 2))
+        cross = [(i, p + j) for i in range(p) for j in range(q) if draw(st.booleans())]
+        head = decomp.SplittedGraph(
+            gc.SimpleGraph(p + q, clique + cross),
+            frozenset(range(p, p + q)),
+            frozenset(range(p)),
+        )
+        g = decomp.compose_graph(head, g)
+    perm = draw(st.permutations(range(g.n)))
+    return gc.SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_compositions())
+def test_indecomposable_matches_decomposition_route_property(g):
+    assert decomp.is_indecomposable_graph(g) == (not decomp.decompose_graph(g).heads)
 
 
 # === splitted canonical codes ==========================================

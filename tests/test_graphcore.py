@@ -2,18 +2,20 @@
 
 import random
 import time
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wtgraph import graphcore as gc
 from wtgraph import seqcore
-from wtgraph.errors import NotPrime, SizeLimit
+from wtgraph.errors import SizeLimit
 
 from _oracles import (
     all_edge_subsets,
     canonical_by_permutation,
     induced_subgraph_witness,
-    maximal_proper_modules as oracle_modules,
+    split_partition_by_subsets,
 )
 
 
@@ -151,15 +153,95 @@ def test_split_partition_iff_last_delta_zero():
             assert present == (prof.deltas[-1] == 0), (n, sorted(es))
 
 
-def test_split_partition_clique_size_is_durfee():
-    for n in range(1, 6):
+def _random_split_graph(rng, n):
+    """Clique on a random side, each independent vertex joined to a
+    random part of it or to all of it but one (a boundary tie),
+    relabelled at random."""
+    k = rng.randrange(n + 1)
+    edges = list(combinations(range(k), 2))
+    for a in range(k, n):
+        if k and rng.random() < 0.4:
+            skip = rng.randrange(k)
+            edges += [(b, a) for b in range(k) if b != skip]
+        else:
+            edges += [(b, a) for b in range(k) if rng.random() < 0.5]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return gc.SimpleGraph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _assert_matches_subset_oracle(g):
+    part = gc.split_partition(g)
+    oracle = split_partition_by_subsets(g.n, g.edges())
+    got = None if part is None else (part.independent, part.clique)
+    assert got == oracle, g
+
+
+def test_split_partition_matches_subset_oracle():
+    for n in range(1, 7):
         for es in all_edge_subsets(n):
-            g = gc.SimpleGraph(n, es)
-            part = gc.split_partition(g)
-            if part is None:
-                continue
-            m = seqcore.corrected_durfee(gc.degree_sequence(g))
-            assert len(part.clique) == m
+            _assert_matches_subset_oracle(gc.SimpleGraph(n, es))
+    rng = random.Random(61)
+    for i in range(2000):
+        n = rng.randrange(7, 11)
+        if i % 2:
+            g = _random_split_graph(rng, n)
+        else:
+            p = rng.random()
+            g = gc.SimpleGraph(n, [e for e in gc.complete_graph(n).edges() if rng.random() < p])
+        _assert_matches_subset_oracle(g)
+
+
+def _circulant(n, k):
+    # 2k-regular: i joined to i +- 1..k
+    return gc.SimpleGraph(n, [(i, (i + j) % n) for i in range(n) for j in range(1, k + 1)])
+
+
+def test_split_partition_size_bound_is_honest_in_time():
+    """Dense regular, random and tied split graphs on 64 vertices each
+    take well under a second."""
+    rng = random.Random(64)
+    dense = _circulant(64, 16)
+    coin = gc.SimpleGraph(64, [e for e in gc.complete_graph(64).edges() if rng.random() < 0.5])
+    split = _random_split_graph(rng, 64)
+    for g, is_split in ((dense, False), (coin, False), (split, True)):
+        t0 = time.perf_counter()
+        part = gc.split_partition(g)
+        assert time.perf_counter() - t0 < 1.0
+        assert (part is not None) == is_split
+
+
+@st.composite
+def _graphs_7_to_64(draw):
+    """Random adjacency rows, or a relabelled split graph whose
+    independent vertices often miss one clique vertex (boundary
+    ties), so both answers occur."""
+    n = draw(st.integers(7, 64))
+    if draw(st.booleans()):
+        rows = [draw(st.integers(0, (1 << v) - 1)) for v in range(n)]
+        return gc.SimpleGraph(n, [(u, v) for v in range(n) for u in range(v) if rows[v] >> u & 1])
+    k = draw(st.integers(0, n))
+    full = (1 << k) - 1
+    near_full = st.sampled_from([full & ~(1 << b) for b in range(k)]) if k else st.just(0)
+    edges = list(combinations(range(k), 2))
+    for a in range(k, n):
+        row = draw(st.integers(0, full) | near_full)
+        edges += [(b, a) for b in range(k) if row >> b & 1]
+    perm = draw(st.permutations(range(n)))
+    return gc.SimpleGraph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs_7_to_64())
+def test_split_partition_property(g):
+    d = gc.degree_sequence(g)
+    part = gc.split_partition(g)
+    assert (part is not None) == seqcore.classify(d).split
+    if part is not None:
+        assert len(part.clique) == seqcore.corrected_durfee(d)
+        assert part.clique | part.independent == set(range(g.n))
+        assert all(g.has_edge(u, v) for u, v in combinations(sorted(part.clique), 2))
+        assert not any(g.has_edge(u, v) for u, v in combinations(sorted(part.independent), 2))
 
 
 def test_contains_induced_examples():
@@ -221,50 +303,6 @@ def test_forbidden_agrees_with_deltas_small():
         for es in all_edge_subsets(n):
             g = gc.SimpleGraph(n, es)
             assert gc.is_wt_by_forbidden(g) == gc.is_wt_by_degrees(g), (n, sorted(es))
-
-
-def test_modules_examples():
-    assert gc.maximal_proper_modules(chair()) == [(0, 4), (1,), (2,), (3,)]
-    assert gc.maximal_proper_modules(gc.path_graph(4)) == [(0,), (1,), (2,), (3,)]
-    assert gc.maximal_proper_modules(kite()) == [(0,), (1, 3), (2,), (4,)]
-
-
-def test_modules_require_connectivity():
-    with pytest.raises(NotPrime):
-        gc.maximal_proper_modules(gc.SimpleGraph(4, [(0, 1), (2, 3)]))
-    with pytest.raises(NotPrime):
-        gc.maximal_proper_modules(gc.complete_graph(4))
-
-
-def test_modules_match_oracle():
-    rng = random.Random(3)
-    done = 0
-    while done < 25:
-        n = rng.randrange(4, 7)
-        es = [e for e in gc.complete_graph(n).edges() if rng.random() < 0.5]
-        g = gc.SimpleGraph(n, es)
-        if not gc.is_connected(g) or not gc.is_connected(gc.complement(g)):
-            continue
-        mine = gc.maximal_proper_modules(g)
-        oracle = sorted(tuple(sorted(m)) for m in oracle_modules(n, g.edges()))
-        assert mine == oracle
-        done += 1
-
-
-def test_modules_pairwise_disjoint():
-    rng = random.Random(17)
-    done = 0
-    while done < 25:
-        n = rng.randrange(4, 8)
-        es = [e for e in gc.complete_graph(n).edges() if rng.random() < 0.5]
-        g = gc.SimpleGraph(n, es)
-        if not gc.is_connected(g) or not gc.is_connected(gc.complement(g)):
-            continue
-        mods = gc.maximal_proper_modules(g)
-        for i in range(len(mods)):
-            for j in range(i + 1, len(mods)):
-                assert not set(mods[i]) & set(mods[j])
-        done += 1
 
 
 def test_twins_and_clones():
