@@ -285,7 +285,8 @@ def _oracle_checks(n: int, notes: list[str]) -> None:
         back = decomp.recompose_graph(dec)
         if not graphcore.are_isomorphic(g, back):
             raise InvariantViolation(
-                f"n={n}: decomposition round trip broke on {g.edges()}"
+                f"n={n}: decomposition round trip broke on graph6"
+                f" {graphcore.to_graph6(g)}"
             )
     notes.append(f"n={n} decomposition ok ({len(graphs)} graphs)")
 

@@ -342,13 +342,14 @@ def recompose_sequence(dec: SequenceDecomposition) -> seqcore.DegreeSequence:
 def is_indecomposable_graph(g: gc.SimpleGraph) -> bool:
     """Union-find route: merge every 4-set inducing 2K2, C4, or P4;
     indecomposable iff one class covers V (K1 counts as
-    indecomposable)."""
+    indecomposable).  The walk stops as soon as one class does."""
     n = g.n
     if n == 1:
         return True
     if n < 4:
         return False
     parent = list(range(n))
+    classes = n
 
     def find(x):
         while parent[x] != x:
@@ -363,8 +364,13 @@ def is_indecomposable_graph(g: gc.SimpleGraph) -> bool:
         if all(0 < (adj[v] & q).bit_count() < 3 for v in quad):
             root = find(quad[0])
             for v in quad[1:]:
-                parent[find(v)] = root
-    return len({find(v) for v in range(n)}) == 1
+                r = find(v)
+                if r != root:
+                    parent[r] = root
+                    classes -= 1
+            if classes == 1:
+                return True
+    return False
 
 
 # === Erdos-Gallai differences under composition ========================

@@ -226,6 +226,34 @@ def test_oracle_count_check_survives_optimize():
     assert report["result"]["checks"][-1] == "FAIL (21, 22)"
 
 
+def test_oracle_names_round_trip_failure_as_graph6(capsys, monkeypatch):
+    """A broken decomposition round trip is reported as graph6 text that
+    decodes to the very graph that failed."""
+    true_recompose = decomp.recompose_graph
+
+    def broken(dec):
+        back = true_recompose(dec)
+        if gc.are_isomorphic(back, gc.path_graph(4)):
+            return gc.empty_graph(4)
+        return back
+
+    monkeypatch.setattr(decomp, "recompose_graph", broken)
+    # order 4 walks its graphs in mask order, bit v*(v-1)/2 + u for u < v
+    pairs = [(u, v) for v in range(4) for u in range(v)]
+    first_p4 = next(
+        g
+        for mask in range(1 << 6)
+        for g in [gc.SimpleGraph(4, [p for i, p in enumerate(pairs) if mask >> i & 1])]
+        if gc.are_isomorphic(g, gc.path_graph(4))
+    )
+    code, out, _ = run(capsys, ["oracle", "--max-n", "4", "--json"])
+    assert code == 1
+    note = json.loads(out)["result"]["checks"][-1]
+    prefix = "FAIL n=4: decomposition round trip broke on graph6 "
+    assert note.startswith(prefix)
+    assert gc.from_graph6(note[len(prefix):]) == first_p4
+
+
 def test_ferrers(capsys):
     code, out, _ = run(capsys, ["ferrers", "3,3,2,1,1"])
     assert code == 0

@@ -382,6 +382,17 @@ def test_indecomposable_size_is_honest_in_time():
     assert got == (not decomp.decompose_graph(g).heads)
 
 
+def test_indecomposable_stops_once_one_class_remains():
+    """G(64, 1/2) is indecomposable and its 4-sets chain every vertex
+    into one class early, long before the last of C(64, 4) quads."""
+    rng = random.Random(64)
+    g = gc.SimpleGraph(64, [e for e in combinations(range(64), 2) if rng.random() < 0.5])
+    t0 = time.perf_counter()
+    got = decomp.is_indecomposable_graph(g)
+    assert time.perf_counter() - t0 < 0.25
+    assert got and not decomp.decompose_graph(g).heads
+
+
 @st.composite
 def _compositions(draw):
     """One to four pieces, each on at most 8 vertices: random splitted

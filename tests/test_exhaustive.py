@@ -2,14 +2,20 @@ import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import all_edge_subsets, induced_subgraph_witness
 import wtgraph
 from wtgraph import buildkit as bk, exhaustive as ex, graphcore as gc
 from wtgraph.errors import SizeLimit
+
+
+def _edges(n, mask):
+    return [(u, v) for v in range(n) for u in range(v) if mask >> (v * (v - 1) // 2 + u) & 1]
 
 
 def test_pure_scan_small_orders():
@@ -70,13 +76,7 @@ def test_routes_match_modules_sampled_order_seven():
     for _ in range(120):
         mask = rng.randrange(1 << 21)
         r1, r2, r3 = ex.routes(7, mask)
-        edges = [
-            (u, v)
-            for v in range(7)
-            for u in range(v)
-            if mask >> (v * (v - 1) // 2 + u) & 1
-        ]
-        g = gc.SimpleGraph(7, edges)
+        g = gc.SimpleGraph(7, _edges(7, mask))
         assert r1 == r2 == r3 == gc.is_wt_by_degrees(g)
 
 
@@ -100,17 +100,73 @@ def test_edge_mask_validation():
 
 
 def test_import_builds_no_tables():
-    """The screen's tables and subset layouts are built on first use,
-    not when the command line front end is imported."""
+    """The screen's codes and gather tables are built on first use, not
+    when the command line front end is imported, and numpy stays out of
+    the process."""
     code = (
+        "import sys\n"
         "import wtgraph.cli\n"
         "from wtgraph import exhaustive, graphcore\n"
-        "print(exhaustive._obstruction_tables.cache_info().currsize,"
-        " exhaustive._subset_layouts.cache_info().currsize,"
-        " graphcore.labeling_codes.cache_info().currsize)\n"
+        "print(exhaustive._obstruction_codes.cache_info().currsize,"
+        " exhaustive._top_tables.cache_info().currsize,"
+        " graphcore.labeling_codes.cache_info().currsize,"
+        " 'numpy' in sys.modules)\n"
     )
     src = str(Path(wtgraph.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["0", "0", "0"]
+    assert r.stdout.split() == ["0", "0", "0", "False"]
+
+
+@pytest.mark.parametrize("route", ["_obstruction_route", "_reduction_route"])
+def test_memo_cannot_hide_a_planted_disagreement(monkeypatch, route):
+    """One route errs on a single order-5 residual: P4 plus an isolated
+    vertex.  The scan's memo hands that wrong verdict to every order-6
+    graph that reaches it, so the scan must report exactly what a walk
+    of ``routes`` over every mask reports, with no memo shared between
+    masks."""
+    n = 6
+    target = ex.edge_mask(n - 1, [(0, 1), (1, 2), (2, 3)])
+    true_route = getattr(ex, route)
+
+    def planted(order, mask, *rest):
+        verdict = true_route(order, mask, *rest)
+        return not verdict if (order, mask) == (n - 1, target) else verdict
+
+    monkeypatch.setattr(ex, route, planted)
+    r = ex.scan_all(n)
+    walk = [mask for mask in range(1 << 15) if len(set(ex.routes(n, mask))) > 1]
+    assert r.disagreements == len(walk) > 0
+    assert r.first_disagreement == walk[0]
+
+
+@lru_cache(maxsize=None)
+def _wt_catalog(n):
+    return sorted(bk.enumerate_wt_graphs(n))
+
+
+@st.composite
+def _labeled_graphs(draw):
+    """A graph on 6 to 8 vertices as (n, mask, permutation): uniform
+    masks, which are mostly outside the class, or a relabelled member
+    of the class from the canonical catalog."""
+    n = draw(st.integers(6, 8))
+    if draw(st.booleans()):
+        mask = draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
+    else:
+        codes = _wt_catalog(n)
+        g = gc.graph_from_canonical_form(codes[draw(st.integers(0, len(codes) - 1))])
+        mask = ex.edge_mask(n, g.edges())
+    return n, mask, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labeled_graphs())
+def test_routes_agree_and_ignore_labels(case):
+    n, mask, perm = case
+    edges = _edges(n, mask)
+    verdicts = ex.routes(n, mask)
+    assert verdicts == (gc.is_wt_by_degrees(gc.SimpleGraph(n, edges)),) * 3
+    relabelled = ex.edge_mask(n, [(perm[u], perm[v]) for u, v in edges])
+    assert ex.routes(n, relabelled) == verdicts
