@@ -148,9 +148,9 @@ def _wt_catalog(n):
 
 @st.composite
 def _labeled_graphs(draw):
-    """A graph on 6 to 8 vertices as (n, mask, permutation): uniform
-    masks, which are mostly outside the class, or a relabelled member
-    of the class from the canonical catalog."""
+    """(n, mask, permutation) on 6 to 8 vertices.  The mask is uniform,
+    and so mostly outside the class, or a member of the class from the
+    canonical catalog; the permutation relabels it."""
     n = draw(st.integers(6, 8))
     if draw(st.booleans()):
         mask = draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
