@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import graphcore as gc
-from . import majorize, seqcore
+from . import seqcore
 from .errors import (
     InvalidOperation,
     InvariantViolation,
@@ -433,7 +433,35 @@ def enumerate_wt_graphs(n: int) -> set[bytes]:
 
 
 def enumerate_wt_sequences(n: int) -> set[seqcore.DegreeSequence]:
-    """All length-n WT degree sequences."""
+    """All length-n WT degree sequences.
+
+    One depth-first walk chooses d_1 >= d_2 >= ... >= d_n with
+    d_1 <= n-1.  Position k joins the corrected Durfee window when
+    d_k >= k-1, and then so did every earlier position, since d is
+    nonincreasing.  From then on the walk keeps the partial slack
+
+        P_k = k(k-1) - sum_{i<=k} d_i + sum_{k<i<=j} min(k, d_i)
+
+    over the j terms chosen so far; at j = n it is delta_k.  A term d_j
+    is kept only when no k in the window meets either bound below, and
+    both are sound:
+
+    - P_k > 1: later terms only add to P_k, so delta_k > 1 and no
+      completion is WT.
+    - P_k + (n-j) min(k, d_j) < 0: each of the n-j later terms is at
+      most d_j and adds at most min(k, d_j), so delta_k < 0 and no
+      completion is graphic.
+
+    Both bounds are monotone in d_j, so they are solved for the range
+    of d_j before it is chosen, over the k that joined at an earlier
+    position.  A position k is first tested at the next term: each of
+    d_1..d_k is at least k-1, so P_k <= 0 when it joins, and a branch
+    the second bound would cut there leaves no term d_{k+1} <= d_k that
+    passes it.  When position n joins, all terms are n-1 and P_n = 0.
+    A leaf therefore has 0 <= delta_k <= 1 for every k <= m, and it is
+    kept when its sum is even; with d_1 <= n-1 that is exactly
+    seqcore's graphic test plus the WT bound.
+    """
     if n < 1:
         raise ValueError("length must be positive")
     if n > SEQUENCE_ENUMERATION_MAX:
@@ -441,10 +469,28 @@ def enumerate_wt_sequences(n: int) -> set[seqcore.DegreeSequence]:
             f"sequence enumeration bounded at n={SEQUENCE_ENUMERATION_MAX}"
         )
     out = set()
-    for total in range(0, n * (n - 1) + 1, 2):
-        for d in majorize.graphic_sequences(n, total):
-            if all(x <= 1 for x in seqcore.eg_profile(d).deltas):
+
+    def walk(d: tuple[int, ...], total: int, slacks: tuple[int, ...]):
+        j = len(d) + 1  # the position being chosen, 1-indexed
+        if j > n:
+            if total % 2 == 0:
                 out.add(d)
+            return
+        later = n - j
+        hi, lo = d[-1] if d else n - 1, 0
+        for k, p in enumerate(slacks, 1):
+            # with p = P_k before v: p + min(k, v) <= 1 and
+            # p + (later + 1) min(k, v) >= 0, whose least v is at most k
+            if 1 - p < k:
+                hi = min(hi, 1 - p)
+            lo = max(lo, -(p // (later + 1)))
+        for v in range(hi, lo - 1, -1):
+            grown = tuple([p + min(k, v) for k, p in enumerate(slacks, 1)])
+            if v >= j - 1:  # position j joins
+                grown += (j * (j - 1) - total - v,)
+            walk(d + (v,), total + v, grown)
+
+    walk((), 0, ())
     return out
 
 

@@ -2,9 +2,12 @@ import os
 import random
 import subprocess
 import sys
+import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     all_edge_subsets,
@@ -13,7 +16,7 @@ from _oracles import (
     realizations,
 )
 import wtgraph
-from wtgraph import buildkit as bk, decomp, graphcore as gc, seqcore
+from wtgraph import buildkit as bk, census, decomp, graphcore as gc, majorize, seqcore
 from wtgraph.errors import (
     InvalidOperation,
     NotWeaklyThreshold,
@@ -217,6 +220,45 @@ def test_recognize_route_check_survives_optimize():
     assert r.stdout.strip() == "raised"
 
 
+@st.composite
+def _recognition_inputs(draw):
+    """A graph on 7-16 vertices: a relabelled WT construction, the
+    same with one vertex pair toggled, or G(n, 1/2).  Toggles and
+    random graphs are mostly non-members, so both answers occur."""
+    n = draw(st.integers(7, 16))
+    kind = draw(st.sampled_from(["wt", "toggle", "random"]))
+    if kind == "random":
+        return gc.SimpleGraph(
+            n, [e for e in combinations(range(n), 2) if draw(st.booleans())]
+        )
+    g = bk.seed_graph(draw(st.sampled_from(["K1", "P4"])))
+    while g.n < n:
+        degs = g.degrees()
+        ops = [bk.dominating(), bk.isolated()]
+        ops += [bk.weakly_dominating(v) for v in range(g.n) if degs[v] == min(degs)]
+        ops += [bk.weakly_isolated(v) for v in range(g.n) if degs[v] == max(degs)]
+        if g.n + 4 <= n:
+            ops.append(bk.semijoined_p4())
+        g = bk.apply_op(g, draw(st.sampled_from(ops)))
+    perm = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()}
+    if kind == "toggle":
+        edges ^= {draw(st.sampled_from(list(combinations(range(n), 2))))}
+    return gc.SimpleGraph(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_recognition_inputs())
+def test_recognize_script_rebuilds_and_witness_induces_its_member(g):
+    out = bk.recognize(g)
+    assert isinstance(out, bk.BuildScript) == gc.is_wt_by_degrees(g)
+    if isinstance(out, bk.BuildScript):
+        assert gc.are_isomorphic(bk.run_script(out), g)
+    else:
+        member = dict(gc.forbidden_family())[out.family_member]
+        assert gc.are_isomorphic(g.induced(out.vertices), member)
+
+
 # === realization =======================================================
 
 
@@ -293,6 +335,56 @@ def test_wt_sequences_n4():
         (3, 3, 2, 2),
         (3, 3, 3, 3),
     }
+
+
+def _slack_filter(pool):
+    return {d for d in pool if all(x <= 1 for x in seqcore.eg_profile(d).deltas)}
+
+
+def test_wt_sequences_match_slack_filter_of_havel_hakimi():
+    # the pool is graphic by Havel-Hakimi, so it does not lean on the
+    # Erdos-Gallai slacks that the walk bounds
+    for n in range(1, 10):
+        assert bk.enumerate_wt_sequences(n) == _slack_filter(
+            all_graphic_sequences(n)
+        ), n
+
+
+def test_wt_sequences_match_graphic_pool_at_ten():
+    pool = [
+        d for total in range(0, 10 * 9 + 1, 2)
+        for d in majorize.graphic_sequences(10, total)
+    ]
+    assert bk.enumerate_wt_sequences(10) == _slack_filter(pool)
+
+
+def test_wt_sequence_counts_match_census():
+    for n in range(1, bk.SEQUENCE_ENUMERATION_MAX + 1):
+        assert len(bk.enumerate_wt_sequences(n)) == census.count_wt_sequences(n), n
+
+
+def test_wt_sequence_walk_is_fast():
+    majorize.graphic_sequences.cache_clear()  # no pool warmed by other tests
+    t0 = time.perf_counter()
+    bk.enumerate_wt_sequences(10)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_wt_sequences_leave_the_graphic_pool_empty():
+    """The walk never fills the brute-force pool of every graphic
+    sequence, which would cost the memory and time it saves."""
+    code = (
+        "from wtgraph import buildkit, majorize\n"
+        "buildkit.enumerate_wt_sequences(10)\n"
+        "print(majorize.graphic_sequences.cache_info().currsize)\n"
+    )
+    src = str(Path(wtgraph.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "0"
 
 
 def test_enumeration_bounds():

@@ -1,5 +1,6 @@
 import random
 import time
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,7 @@ from _oracles import (
     decompose_by_subsets,
     minimal_head,
 )
-from wtgraph import decomp, graphcore as gc, seqcore
+from wtgraph import buildkit, decomp, graphcore as gc, seqcore
 from wtgraph.errors import NotGraphic
 
 
@@ -419,6 +420,54 @@ def _compositions(draw):
 @given(_compositions())
 def test_indecomposable_matches_decomposition_route_property(g):
     assert decomp.is_indecomposable_graph(g) == (not decomp.decompose_graph(g).heads)
+
+
+@cache
+def _catalog(k):
+    return sorted(buildkit.enumerate_wt_graphs(k))
+
+
+def _catalog_piece(draw, k):
+    return gc.graph_from_canonical_form(draw(st.sampled_from(_catalog(k))))
+
+
+@st.composite
+def _recomposable(draw):
+    """A graph on 7-12 vertices: G(n, 1/2), or a composition whose tail
+    is a catalog member or a random graph and whose heads are catalog
+    members split by their degree order.  The order cap keeps
+    canonical_form fast; see ROADMAP, known slow paths."""
+    n = draw(st.integers(7, 12))
+    if draw(st.booleans()):
+        return gc.SimpleGraph(
+            n, [e for e in combinations(range(n), 2) if draw(st.booleans())]
+        )
+    m = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        g = _catalog_piece(draw, m)
+    else:
+        g = gc.SimpleGraph(m, [e for e in combinations(range(m), 2) if draw(st.booleans())])
+    while g.n < n:
+        piece = _catalog_piece(draw, draw(st.integers(1, min(5, n - g.n))))
+        part = gc.split_partition(piece)
+        head = decomp.SplittedGraph(piece, part.independent, part.clique)
+        g = decomp.compose_graph(head, g)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_recomposable(), st.data())
+def test_decomposition_recomposes_and_ignores_labels(g, data):
+    d = decomp.decompose_graph(g)
+    assert gc.are_isomorphic(decomp.recompose_graph(d), g)
+    perm = data.draw(st.permutations(range(g.n)))
+    e = decomp.decompose_graph(
+        gc.SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    )
+    assert [decomp.splitted_canonical_form(h) for h in e.heads] == [
+        decomp.splitted_canonical_form(h) for h in d.heads
+    ]
+    assert gc.canonical_form(e.tail) == gc.canonical_form(d.tail)
 
 
 # === splitted canonical codes ==========================================
