@@ -246,7 +246,7 @@ def _build_wt(g: gc.SimpleGraph):
         return base
     step = peel(g)
     rest = [v for v in range(g.n) if v not in step.removed]
-    inner_script, inner_map = _build_wt(g.induced(rest))
+    inner_script, inner_map = _build_wt(g.remove_vertices(step.removed))
     vmap = {r: rest[inner_map[r]] for r in range(len(rest))}
     back = {orig: r for r, orig in vmap.items()}
     k = len(rest)

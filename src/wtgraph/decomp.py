@@ -264,25 +264,37 @@ def _degree_head(g: gc.SimpleGraph):
     return None
 
 
-def decompose_graph(g: gc.SimpleGraph) -> GraphDecomposition:
-    """Greedy leftmost extraction of minimal heads; unique by the
-    decomposition theorem."""
-    heads = []
+def _components(g: gc.SimpleGraph):
+    """Components of the canonical decomposition, outermost head first
+    and the tail last, each as (vertices, graph, A, B): its vertices in
+    g's labels, increasing, the subgraph they induce, and a head's
+    sides as positions in that subgraph (None for the tail)."""
+    labels = list(range(g.n))
     work = g
     while True:
         hit = _degree_head(work)
         if hit is None:
-            return GraphDecomposition(tuple(heads), work)
+            yield labels, work, None, None
+            return
         subset, a, b = hit
         pos = {v: i for i, v in enumerate(subset)}
-        heads.append(
-            SplittedGraph(
-                work.induced(subset),
-                frozenset(pos[v] for v in a),
-                frozenset(pos[v] for v in b),
-            )
+        yield (
+            [labels[v] for v in subset],
+            work.induced(subset),
+            frozenset(pos[v] for v in a),
+            frozenset(pos[v] for v in b),
         )
+        labels = [labels[v] for v in range(work.n) if v not in pos]
         work = work.remove_vertices(subset)
+
+
+def decompose_graph(g: gc.SimpleGraph) -> GraphDecomposition:
+    """Greedy leftmost extraction of minimal heads; unique by the
+    decomposition theorem."""
+    *heads, (_, tail, _, _) = _components(g)
+    return GraphDecomposition(
+        tuple(SplittedGraph(h, a, b) for _, h, a, b in heads), tail
+    )
 
 
 def recompose_graph(dec: GraphDecomposition) -> gc.SimpleGraph:

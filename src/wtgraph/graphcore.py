@@ -14,9 +14,20 @@ column-by-column upper triangle: placing vertex t contributes its
 adjacency bits to vertices placed 0..t-1, in that order.
 
 The seven-graph forbidden family for the weakly threshold class is
-built here explicitly, and is_wt_by_forbidden searches for an induced
-member, returning a witness when one exists.  The exhaustive scan
-screens against the same members' labeling codes.
+built here explicitly, and find_forbidden returns the first induced
+member with its lexicographically first vertex set, or None.  The
+search is routed by the split partition.  A graph with no induced 2K2,
+C4 or C5 is split (Foldes and Hammer, *Split graphs*, 1977), so a
+graph that is not split is searched for those three only.  A split
+graph can hold only the four split members, each with exactly one
+split partition, so every vertex of a copy keeps its side of the
+host's partition and the search keys carry a side bit per vertex.  All
+seven members are indecomposable, so a copy lies inside one component
+of the canonical decomposition (Tyshkevich, Discrete Math. 220 (2000)),
+and a split graph is searched component by component.  No step
+consults the slack test, so is_wt_by_forbidden stays an independent
+route to membership.  The exhaustive scan screens against the same
+members' labeling codes.
 """
 
 from dataclasses import dataclass
@@ -24,7 +35,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from . import seqcore
-from .errors import SizeLimit
+from .errors import InvariantViolation, SizeLimit
 
 MAX_VERTICES = 64
 CANONICAL_MAX = 16
@@ -87,21 +98,46 @@ class SimpleGraph:
 
     def induced(self, vertices) -> "SimpleGraph":
         """Subgraph on the given vertices, relabeled 0..k-1 in the
-        given order."""
+        given order.  Each new row is the old row cut to the kept
+        vertices, with its bits moved to their new positions."""
         vs = list(vertices)
         pos = {v: i for i, v in enumerate(vs)}
         if len(pos) != len(vs):
             raise ValueError("duplicate vertices")
-        es = [
-            (pos[u], pos[v])
-            for u, v in self.edges()
-            if u in pos and v in pos
-        ]
-        return SimpleGraph(len(vs), es)
+        if not vs:
+            raise ValueError("graph needs at least one vertex")
+        if any(not 0 <= v < self.n for v in vs):
+            raise ValueError(f"vertex out of range for n={self.n}")
+        keep = sum(1 << v for v in vs)
+        masks = []
+        for v in vs:
+            row = self.adj[v] & keep
+            mask = 0
+            while row:
+                low = row & -row
+                mask |= 1 << pos[low.bit_length() - 1]
+                row ^= low
+            masks.append(mask)
+        out = object.__new__(SimpleGraph)
+        out.n = len(vs)
+        out.adj = tuple(masks)
+        return out
 
     def remove_vertices(self, vertices) -> "SimpleGraph":
+        """Subgraph on the other vertices, in increasing order.  Each
+        dropped vertex, highest first, shifts the higher bits of every
+        row down by one."""
         drop = set(vertices)
-        return self.induced([v for v in range(self.n) if v not in drop])
+        if drop.issuperset(range(self.n)):
+            raise ValueError("graph needs at least one vertex")
+        rows = [row for v, row in enumerate(self.adj) if v not in drop]
+        for d in sorted((v for v in drop if 0 <= v < self.n), reverse=True):
+            below = (1 << d) - 1
+            rows = [row & below | row >> 1 & ~below for row in rows]
+        out = object.__new__(SimpleGraph)
+        out.n = len(rows)
+        out.adj = tuple(rows)
+        return out
 
     # --- value semantics -------------------------------------------------
 
@@ -356,55 +392,59 @@ def split_partition(g: SimpleGraph) -> SplitPartition | None:
 # --- induced subgraph search -------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def labeling_codes(f: SimpleGraph) -> frozenset[int]:
-    """Edge codes of every labeling of f.  In a labeling the pair u < v
-    is bit v*(v-1)/2 + u, the layout ``exhaustive`` uses for its masks."""
+def _labeling_keys(f: SimpleGraph, marked=frozenset()):
+    """Key of each labeling of f.  In a labeling the pair u < v is bit
+    v*(v-1)/2 + u, and a vertex of f in marked placed at position i
+    sets bit k*(k-1)/2 + i, past the edge bits (k = f.n)."""
     n = f.n
     weight = [
         [1 << (max(a, b) * (max(a, b) - 1) // 2 + min(a, b)) for b in range(n)]
         for a in range(n)
     ]
+    base = n * (n - 1) // 2
     edges = f.edges()
-    codes = set()
     for perm in permutations(range(n)):
-        code = 0
+        key = 0
         for u, v in edges:
-            code |= weight[perm[u]][perm[v]]
-        codes.add(code)
-    return frozenset(codes)
+            key |= weight[perm[u]][perm[v]]
+        for u in marked:
+            key |= 1 << (base + perm[u])
+        yield key
 
 
 @lru_cache(maxsize=32)
-def _prefix_codes(f: SimpleGraph) -> tuple[frozenset[int], ...]:
-    """Entry j: the edge codes the first j vertices of some labeling of
-    f induce.  They own the low j*(j-1)/2 bits of a labeling's code, so
-    entry f.n is ``labeling_codes(f)``."""
-    full = labeling_codes(f)
-    return tuple(
-        frozenset(c & ((1 << j * (j - 1) // 2) - 1) for c in full)
-        for j in range(f.n + 1)
-    )
+def labeling_codes(f: SimpleGraph) -> frozenset[int]:
+    """Edge codes of every labeling of f.  In a labeling the pair u < v
+    is bit v*(v-1)/2 + u, the layout ``exhaustive`` uses for its masks."""
+    return frozenset(_labeling_keys(f))
 
 
-def contains_induced(g: SimpleGraph, f: SimpleGraph) -> tuple[int, ...] | None:
-    """Lexicographically smallest vertex set inducing a copy of f, or
-    None.
-
-    The edge codes of all labelings of f, up to k! of them for k = f.n,
-    are tabulated once per pattern, together with their restrictions
-    to the first j vertices.  Vertex sets are grown one increasing
-    vertex at a time, so they are met in lexicographic order and
-    witnesses are stable.  Each new vertex adds its adjacency to the
-    chosen ones, read off the bitmasks, to the code, and a prefix whose
-    code no labeling of f starts with is dropped with all its
-    extensions.
-    """
+@lru_cache(maxsize=32)
+def _prefix_codes(f: SimpleGraph, marked=frozenset()) -> tuple[frozenset[int], ...]:
+    """Entry j: the keys the first j vertices of some labeling of f
+    induce, with ``marked`` as in ``_labeling_keys``.  They own the low
+    j*(j-1)/2 edge bits and the first j side bits of a labeling's key,
+    so entry f.n holds the whole keys."""
     k = f.n
-    if k > g.n:
-        raise ValueError("pattern larger than host")
-    tables = _prefix_codes(f)
-    adj = g.adj
+    base = k * (k - 1) // 2
+    full = frozenset(_labeling_keys(f, marked))
+    masks = [(1 << j * (j - 1) // 2) - 1 | ((1 << j) - 1) << base for j in range(k + 1)]
+    return tuple(frozenset(c & mask for c in full) for mask in masks)
+
+
+def _first_copy(adj, tables, sides: int = 0) -> tuple[int, ...] | None:
+    """Lexicographically smallest increasing vertex tuple of the graph
+    with rows ``adj`` whose key is in ``tables[k]``, k = len(tables) - 1.
+
+    Vertex tuples are grown one increasing vertex at a time, so they
+    are met in lexicographic order.  Each new vertex adds its adjacency
+    to the chosen ones, read off the bitmasks, to the key, and its side
+    bit when it is in the mask ``sides``; a prefix whose key no entry
+    of ``tables`` holds is dropped with all its extensions.
+    """
+    n = len(adj)
+    k = len(tables) - 1
+    base = k * (k - 1) // 2
     chosen: list[int] = []
 
     def extend(code: int, start: int) -> tuple[int, ...] | None:
@@ -413,9 +453,10 @@ def contains_induced(g: SimpleGraph, f: SimpleGraph) -> tuple[int, ...] | None:
             return tuple(chosen)
         table = tables[j + 1]
         shift = j * (j - 1) // 2
-        for v in range(start, g.n - k + j + 1):
+        side = 1 << (base + j)
+        for v in range(start, n - k + j + 1):
             row = adj[v]
-            grown = code
+            grown = code | side if sides >> v & 1 else code
             for i, u in enumerate(chosen):
                 if row >> u & 1:
                     grown |= 1 << (shift + i)
@@ -428,6 +469,22 @@ def contains_induced(g: SimpleGraph, f: SimpleGraph) -> tuple[int, ...] | None:
         return None
 
     return extend(0, 0)
+
+
+def contains_induced(g: SimpleGraph, f: SimpleGraph) -> tuple[int, ...] | None:
+    """Lexicographically smallest vertex set inducing a copy of f, or
+    None.
+
+    The edge codes of all labelings of f, up to k! of them for k = f.n,
+    are tabulated once per pattern, together with their restrictions
+    to the first j vertices, and ``_first_copy`` grows vertex sets in
+    lexicographic order against them, so witnesses are stable.
+    ``find_forbidden`` runs the same search with a split side bit per
+    vertex added to the key.
+    """
+    if f.n > g.n:
+        raise ValueError("pattern larger than host")
+    return _first_copy(g.adj, _prefix_codes(f))
 
 
 # --- forbidden family ---------------------------------------------------
@@ -443,12 +500,14 @@ def _build_net() -> SimpleGraph:
     return SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
 
 
-def forbidden_family() -> list[tuple[str, SimpleGraph]]:
-    """The seven minimal forbidden induced subgraphs, with names."""
+@lru_cache(maxsize=None)
+def _family() -> tuple[tuple[str, SimpleGraph], ...]:
+    """The family, built on first use; ``forbidden_family`` hands out
+    copies of the list."""
     two_k2 = SimpleGraph(4, [(0, 1), (2, 3)])
     h = _build_h_graph()
     net = _build_net()
-    return [
+    return (
         ("2K2", two_k2),
         ("C4", cycle_graph(4)),
         ("C5", cycle_graph(5)),
@@ -456,7 +515,28 @@ def forbidden_family() -> list[tuple[str, SimpleGraph]]:
         ("H-complement", complement(h)),
         ("S3", net),
         ("S3-complement", complement(net)),
-    ]
+    )
+
+
+def forbidden_family() -> list[tuple[str, SimpleGraph]]:
+    """The seven minimal forbidden induced subgraphs, with names."""
+    return list(_family())
+
+
+@lru_cache(maxsize=None)
+def _member_groups():
+    """The family's members that are not split, as (name, graph), and
+    its split members with their side-keyed prefix tables, as (name,
+    tables), each group in family order.  A split member has exactly
+    one split partition, and its clique side is the one marked."""
+    unsplit, split = [], []
+    for name, f in _family():
+        part = split_partition(f)
+        if part is None:
+            unsplit.append((name, f))
+        else:
+            split.append((name, _prefix_codes(f, part.clique)))
+    return tuple(unsplit), tuple(split)
 
 
 @dataclass(frozen=True)
@@ -466,13 +546,56 @@ class ForbiddenWitness:
 
 
 def find_forbidden(g: SimpleGraph) -> ForbiddenWitness | None:
-    """First forbidden family member induced in g, in family order."""
-    for name, member in forbidden_family():
-        if member.n > g.n:
-            continue
-        hit = contains_induced(g, member)
-        if hit is not None:
-            return ForbiddenWitness(name, hit)
+    """First forbidden family member induced in g, in family order,
+    with the lexicographically smallest vertex set inducing it.
+
+    The search is routed by ``split_partition``.  A graph with no
+    induced 2K2, C4 or C5 is split (Foldes and Hammer, *Split graphs*,
+    1977), and those three are not split themselves.  So a non-split g
+    holds one of them, and only they are searched, over the whole
+    graph; finding none raises ``InvariantViolation``.  A split g holds
+    none of them, and only H, its complement, S3 and its complement
+    are searched.  Each of the four has exactly one split partition,
+    with 2, 4, 3 and 3 clique vertices, and g's partition cut to an
+    induced copy is a split partition of the copy.  So every vertex
+    keeps its side: the key carries one side bit per chosen vertex,
+    and the prefix tables cut by side as well as by adjacency.
+
+    All seven members are indecomposable, so an induced copy lies
+    inside one component of the canonical decomposition (Tyshkevich,
+    Discrete Math. 220 (2000)).  A split g's components of six or more
+    vertices are searched one by one, their vertices in increasing
+    order, and a member's witness is the least of the components'
+    first hits in g's labels.  The slack test is never consulted, so
+    this stays an independent route to membership.
+    """
+    from . import decomp
+
+    unsplit, split = _member_groups()
+    part = split_partition(g)
+    if part is None:
+        for name, member in unsplit:
+            if member.n <= g.n:
+                hit = contains_induced(g, member)
+                if hit is not None:
+                    return ForbiddenWitness(name, hit)
+        raise InvariantViolation(
+            "a graph that is not split has no induced 2K2, C4 or C5"
+        )
+    clique = sum(1 << v for v in part.clique)
+    comps = []
+    for vertices, sub, _, _ in decomp._components(g):
+        if sub.n >= 6:  # the order of every split member
+            sides = sum(1 << i for i, v in enumerate(vertices) if clique >> v & 1)
+            comps.append((vertices, sub, sides))
+    for name, tables in split:
+        hits = []
+        for vertices, sub, sides in comps:
+            hit = _first_copy(sub.adj, tables, sides)
+            if hit is not None:
+                hits.append(tuple(vertices[i] for i in hit))
+        if hits:
+            return ForbiddenWitness(name, min(hits))
     return None
 
 

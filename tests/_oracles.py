@@ -2,14 +2,16 @@
 
 Everything here is deliberately independent of the package internals:
 graphicality via Havel-Hakimi, containment and canonical forms via
-exhaustive permutation search, split partitions and decomposition
-heads by subset enumeration.  Slow on purpose; bounds are chosen so
+exhaustive permutation search, the first forbidden witness by a prefix
+search over the whole graph, split partitions and decomposition heads
+by subset enumeration.  Slow on purpose; bounds are chosen so
 each oracle call stays well under a second.
 
 Graphs are passed around as (n, edges) with edges a collection of
 sorted vertex pairs.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 
@@ -212,3 +214,92 @@ def decompose_by_subsets(n, edges):
         keep = [v for v in range(n) if v not in pos]
         edges = _relabel(edges, keep)
         n = len(keep)
+
+
+# The seven minimal forbidden induced subgraphs of the weakly threshold
+# class, in the package's family order, as (name, order, edges).
+FORBIDDEN_FAMILY = (
+    ("2K2", 4, ((0, 1), (2, 3))),
+    ("C4", 4, ((0, 1), (1, 2), (2, 3), (0, 3))),
+    ("C5", 5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))),
+    ("H", 6, ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5))),
+    (
+        "H-complement",
+        6,
+        tuple(
+            p
+            for p in combinations(range(6), 2)
+            if p not in {(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)}
+        ),
+    ),
+    ("S3", 6, ((0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5))),
+    (
+        "S3-complement",
+        6,
+        tuple(
+            p
+            for p in combinations(range(6), 2)
+            if p not in {(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)}
+        ),
+    ),
+)
+
+
+@lru_cache(maxsize=None)
+def _prefix_code_tables(k, edges):
+    """Entry j: edge codes the first j vertices of some labeling of the
+    pattern induce, the pair a < b of positions being bit b*(b-1)/2 + a."""
+    codes = set()
+    for perm in permutations(range(k)):
+        code = 0
+        for u, v in edges:
+            a, b = sorted((perm[u], perm[v]))
+            code |= 1 << (b * (b - 1) // 2 + a)
+        codes.add(code)
+    return [{c & ((1 << j * (j - 1) // 2) - 1) for c in codes} for j in range(k + 1)]
+
+
+def _first_copy_in_whole_graph(n, adj, k, tables):
+    """Lexicographically first increasing k-tuple inducing the pattern,
+    grown vertex by vertex over the whole graph and pruned by prefix
+    codes."""
+    chosen = []
+
+    def extend(code, start):
+        j = len(chosen)
+        if j == k:
+            return tuple(chosen)
+        shift = j * (j - 1) // 2
+        for v in range(start, n - k + j + 1):
+            grown = code
+            for i, u in enumerate(chosen):
+                if adj[v] >> u & 1:
+                    grown |= 1 << (shift + i)
+            if grown in tables[j + 1]:
+                chosen.append(v)
+                hit = extend(grown, v + 1)
+                chosen.pop()
+                if hit is not None:
+                    return hit
+        return None
+
+    return extend(0, 0)
+
+
+def forbidden_witness_by_whole_graph_search(n, edges):
+    """(member name, vertex tuple) of the first family member, in
+    family order, induced anywhere in the graph, with its
+    lexicographically first vertex set; None for a member of the
+    class.  Every member is searched over the whole graph, with no use
+    of split sides or of the decomposition."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    for name, k, f_edges in FORBIDDEN_FAMILY:
+        if k > n:
+            continue
+        hit = _first_copy_in_whole_graph(n, adj, k, _prefix_code_tables(k, f_edges))
+        if hit is not None:
+            return name, hit
+    return None

@@ -100,7 +100,8 @@ def test_edge_mask_validation():
 
 
 def test_import_builds_no_tables():
-    """The screen's codes and gather tables are built on first use, not
+    """The screen's codes and gather tables, the forbidden family and
+    the witness search's side-keyed tables are built on first use, not
     when the command line front end is imported, and numpy stays out of
     the process."""
     code = (
@@ -110,13 +111,15 @@ def test_import_builds_no_tables():
         "print(exhaustive._obstruction_codes.cache_info().currsize,"
         " exhaustive._top_tables.cache_info().currsize,"
         " graphcore.labeling_codes.cache_info().currsize,"
+        " graphcore._family.cache_info().currsize,"
+        " graphcore._member_groups.cache_info().currsize,"
         " 'numpy' in sys.modules)\n"
     )
     src = str(Path(wtgraph.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["0", "0", "0", "False"]
+    assert r.stdout.split() == ["0", "0", "0", "0", "0", "False"]
 
 
 @pytest.mark.parametrize("route", ["_obstruction_route", "_reduction_route"])

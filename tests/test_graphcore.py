@@ -1,19 +1,26 @@
 """Graph layer: named-example values, format codecs, and oracle checks."""
 
+import os
 import random
+import subprocess
+import sys
 import time
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wtgraph
 from wtgraph import graphcore as gc
 from wtgraph import seqcore
 from wtgraph.errors import SizeLimit
 
 from _oracles import (
+    FORBIDDEN_FAMILY,
     all_edge_subsets,
     canonical_by_permutation,
+    forbidden_witness_by_whole_graph_search,
     induced_subgraph_witness,
     split_partition_by_subsets,
 )
@@ -48,6 +55,28 @@ def test_graph_construction_guards():
         gc.SimpleGraph(2, [(1, 1)])
     with pytest.raises(SizeLimit):
         gc.SimpleGraph(65)
+
+
+def test_induced_matches_edge_relabelling():
+    """Rows read off the bitmasks give the graph the relabelled edge
+    list gives, for any vertex order, and removing vertices keeps the
+    rest in increasing order; bad vertex lists raise."""
+    rng = random.Random(88)
+    for _ in range(200):
+        n = rng.randrange(1, 20)
+        g = gc.SimpleGraph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        vs = rng.sample(range(n), rng.randrange(1, n + 1))
+        pos = {v: i for i, v in enumerate(vs)}
+        es = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+        assert g.induced(vs) == gc.SimpleGraph(len(vs), es)
+        if len(vs) < n:
+            assert g.remove_vertices(vs) == g.induced(sorted(set(range(n)) - set(vs)))
+    g = gc.path_graph(4)
+    for bad in ([0, 1, 1], [], [0, 4], [-1, 2]):
+        with pytest.raises(ValueError):
+            g.induced(bad)
+    with pytest.raises(ValueError):
+        g.remove_vertices(range(4))
 
 
 def test_complement():
@@ -303,6 +332,197 @@ def test_forbidden_agrees_with_deltas_small():
         for es in all_edge_subsets(n):
             g = gc.SimpleGraph(n, es)
             assert gc.is_wt_by_forbidden(g) == gc.is_wt_by_degrees(g), (n, sorted(es))
+
+
+def test_split_exactly_when_no_2k2_c4_or_c5():
+    """Foldes and Hammer, on every labeled graph through 6 vertices.
+    The oracle decides each labeled graph on 4 and 5 vertices; a graph
+    holds an induced 2K2, C4 or C5 exactly when one of its 4- or
+    5-vertex subsets induces one."""
+    small = [(k, set(es)) for _, k, es in FORBIDDEN_FAMILY[:3]]
+    found = {}
+    for k in (4, 5):
+        for es in all_edge_subsets(k):
+            found[k, es] = any(
+                kf == k and induced_subgraph_witness(k, es, kf, f) is not None
+                for kf, f in small
+            )
+    for n in range(1, 7):
+        for es in all_edge_subsets(n):
+            hit = False
+            for k in (4, 5):
+                for subset in combinations(range(n), k):
+                    pos = {v: i for i, v in enumerate(subset)}
+                    sub = frozenset(
+                        (pos[u], pos[v]) for u, v in es if u in pos and v in pos
+                    )
+                    hit = hit or found[k, sub]
+            assert (gc.split_partition(gc.SimpleGraph(n, es)) is None) == hit, (n, sorted(es))
+
+
+def test_split_members_have_one_split_partition():
+    """H, its complement, S3 and its complement each have exactly one
+    split partition over all vertex bipartitions, with 2, 4, 3 and 3
+    clique vertices; the other three members have none."""
+    clique_sizes = {"H": 2, "H-complement": 4, "S3": 3, "S3-complement": 3}
+    for name, f in gc.forbidden_family():
+        parts = []
+        for sides in product((0, 1), repeat=f.n):
+            clique = [v for v in range(f.n) if sides[v]]
+            indep = [v for v in range(f.n) if not sides[v]]
+            if all(f.has_edge(u, v) for u, v in combinations(clique, 2)) and not any(
+                f.has_edge(u, v) for u, v in combinations(indep, 2)
+            ):
+                parts.append(clique)
+        if name in clique_sizes:
+            assert [len(c) for c in parts] == [clique_sizes[name]], name
+            assert frozenset(parts[0]) == gc.split_partition(f).clique
+        else:
+            assert parts == [], name
+
+
+def test_find_forbidden_route_check_survives_optimize():
+    """With the 2K2, C4 and C5 search disabled, a graph that is not
+    split must raise even when python -O strips asserts."""
+    code = (
+        "from wtgraph import graphcore\n"
+        "from wtgraph.errors import InvariantViolation\n"
+        "assert not __debug__\n"  # stripped under -O; fails loudly if not
+        "graphcore.contains_induced = lambda g, f: None\n"
+        "try:\n"
+        "    graphcore.find_forbidden(graphcore.cycle_graph(4))\n"
+        "except InvariantViolation:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(wtgraph.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "raised"
+
+
+# splitted graphs as (order, edges, clique side); the four split members
+# with their one partition, P4, and K1 on either side
+_HEADS = {
+    name: (k, es, frozenset(gc.split_partition(gc.SimpleGraph(k, es)).clique))
+    for name, k, es in FORBIDDEN_FAMILY[3:]
+}
+_HEADS["P4"] = (4, ((0, 1), (1, 2), (2, 3)), frozenset({1, 2}))
+_HEADS["K1 clique"] = (1, (), frozenset({0}))
+_HEADS["K1 independent"] = (1, (), frozenset())
+
+
+def _random_split(rng, k):
+    c = rng.randrange(k + 1)
+    es = list(combinations(range(c), 2))
+    es += [(b, a) for a in range(c, k) for b in range(c) if rng.random() < 0.5]
+    return k, es, frozenset(range(c))
+
+
+def _compose(heads, tail):
+    """Edges of heads[0] composed onto heads[1] ... composed onto the
+    tail (order, edges): each head's clique side is joined to every
+    vertex after it."""
+    n, edges = tail
+    edges = list(edges)
+    for k, es, clique in reversed(heads):
+        edges = [(u + k, v + k) for u, v in edges] + list(es)
+        edges += [(b, w + k) for b in clique for w in range(n)]
+        n += k
+    return n, edges
+
+
+def _relabelled(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return gc.SimpleGraph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _composition(rng, lo, hi):
+    """A random composition of lo..hi vertices, relabelled: heads drawn
+    from ``_HEADS`` and small random split graphs over a tail that is
+    K1, G(k, 1/2), a 2K2, C4 or C5, a random split graph or a split
+    member."""
+    r = rng.random()
+    if r < 0.15:
+        tail = (1, ())
+    elif r < 0.35:
+        k = rng.randrange(2, 9)
+        tail = (k, [p for p in combinations(range(k), 2) if rng.random() < 0.5])
+    elif r < 0.5:
+        tail = rng.choice(FORBIDDEN_FAMILY[:3])[1:]
+    elif r < 0.75:
+        tail = _random_split(rng, rng.randrange(2, 10))[:2]
+    else:
+        tail = rng.choice(FORBIDDEN_FAMILY[3:])[1:]
+    target = rng.randrange(lo, hi + 1)
+    heads, n = [], tail[0]
+    while n < target:
+        head = (
+            rng.choice(list(_HEADS.values()))
+            if rng.random() < 0.7
+            else _random_split(rng, rng.randrange(2, 8))
+        )
+        if n + head[0] > hi:
+            break
+        heads.append(head)
+        n += head[0]
+    return _relabelled(rng, *_compose(heads, tail))
+
+
+def test_find_forbidden_matches_whole_graph_search_on_compositions():
+    """The same member and vertex tuple as a search of every member
+    over the whole graph, on 300 relabelled compositions of 7-24
+    vertices whose heads include the four split members, so that every
+    member is some input's witness."""
+    rng = random.Random(4207)
+    seen = set()
+    for _ in range(300):
+        g = _composition(rng, 7, 24)
+        w = gc.find_forbidden(g)
+        got = None if w is None else (w.family_member, w.vertices)
+        assert got == forbidden_witness_by_whole_graph_search(g.n, g.edges()), gc.to_graph6(g)
+        seen.add(None if w is None else w.family_member)
+    assert seen == {None} | {name for name, _, _ in FORBIDDEN_FAMILY}
+
+
+def test_find_forbidden_never_consults_the_slack_test(monkeypatch):
+    """find_forbidden is the second route to membership, so it answers
+    every labeled graph through 5 vertices with the slack test and the
+    degree route disabled."""
+
+    def refuse(*args):
+        raise AssertionError("slack test consulted")
+
+    monkeypatch.setattr(seqcore, "classify", refuse)
+    monkeypatch.setattr(seqcore, "eg_profile", refuse)
+    monkeypatch.setattr(gc, "is_wt_by_degrees", refuse)
+    for n in range(1, 6):
+        for es in all_edge_subsets(n):
+            w = gc.find_forbidden(gc.SimpleGraph(n, es))
+            got = None if w is None else (w.family_member, w.vertices)
+            assert got == forbidden_witness_by_whole_graph_search(n, es), (n, sorted(es))
+
+
+@pytest.mark.parametrize("tail, heads", [("H", 58), ("C5", 59)])
+def test_find_forbidden_under_singleton_heads_is_fast(tail, heads):
+    """A 64-vertex non-member whose only obstruction is its tail, under
+    isolated and dominating vertices: the split branch (H) and the
+    worst case of the other branch (C5, where the 2K2 and C4 searches
+    cover the whole graph) each answer in under a second."""
+    rng = random.Random(64)
+    _, k, es = next(m for m in FORBIDDEN_FAMILY if m[0] == tail)
+    singles = [_HEADS[rng.choice(["K1 clique", "K1 independent"])] for _ in range(heads)]
+    g = _relabelled(rng, *_compose(singles, (k, es)))
+    assert g.n == 64
+    t0 = time.perf_counter()
+    w = gc.find_forbidden(g)
+    assert time.perf_counter() - t0 < 1.0
+    assert w.family_member == tail
+    member = dict(gc.forbidden_family())[tail]
+    assert gc.are_isomorphic(g.induced(w.vertices), member)
 
 
 def test_twins_and_clones():
